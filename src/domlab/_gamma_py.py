@@ -9,11 +9,13 @@ lexicographically smallest optimal set). Pruning:
   * per-vertex deficiency vs. remaining budget and undecided neighbors;
   * decided-out vertices must retain k potential outside neighbors.
 
-The compiled twin in _gamma_cy implements the identical algorithm; results
-must match bit for bit.
+Leaves are checked with predicates.mask_is_ktds. This is the only gamma
+kernel; gamma_naive in solver is the independent oracle it is tested against.
 """
 
 from __future__ import annotations
+
+from .predicates import mask_is_ktds
 
 BACKEND_NAME = "pure-python"
 
@@ -38,17 +40,6 @@ def solve_gamma(n: int, k: int, restrained: bool,
 
     nodes = 0
 
-    def check(smask: int) -> bool:
-        for v in range(n):
-            if (masks[v] & smask).bit_count() < k:
-                return False
-        if restrained:
-            outside = full & ~smask
-            for v in range(n):
-                if not (smask >> v) & 1 and (masks[v] & outside).bit_count() < k:
-                    return False
-        return True
-
     def dfs(i: int, in_mask: int, out_mask: int, cnt_in: int, s: int) -> int:
         nonlocal nodes
         nodes += 1
@@ -57,11 +48,11 @@ def solve_gamma(n: int, k: int, restrained: bool,
         if budget < 0 or budget > rest:
             return -1
         if budget == 0:
-            return in_mask if check(in_mask) else -1
+            return in_mask if mask_is_ktds(masks, in_mask, k, restrained) else -1
         undecided = full & ~((1 << i) - 1)
         if budget == rest:
             cand = in_mask | undecided
-            return cand if check(cand) else -1
+            return cand if mask_is_ktds(masks, cand, k, restrained) else -1
         for v in range(n):
             nb = masks[v]
             in_nb = (nb & in_mask).bit_count()

@@ -85,7 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--seed", type=int, default=20230417)
     p_ver.add_argument("--oracle-random", type=int, default=500)
     p_ver.add_argument("--property-random", type=int, default=200)
-    p_ver.add_argument("--workers", type=int, default=1)
     p_ver.add_argument("--timings", action="store_true",
                        help="fill runtime_ms (reports stop being byte-stable)")
     return parser
@@ -143,8 +142,7 @@ def _cmd_verify(args) -> int:
     config = SweepConfig(sections=tuple(args.sections or ()), seed=args.seed,
                          oracle_random=args.oracle_random,
                          property_random=args.property_random,
-                         guards=Guards.from_env(), workers=args.workers,
-                         timings=args.timings)
+                         guards=Guards.from_env(), timings=args.timings)
     report = run_sweep(config)
     _write_report(report, args)
     disc = report.discrepancies

@@ -1,7 +1,8 @@
 """Set predicates for k-tuple total (restrained) domination.
 
-All predicates are pure and operate on plain vertex collections; they are the
-single source of truth that both solvers and witness validation defer to.
+All predicates are pure. They take plain vertex collections, except
+mask_is_ktds, which takes bitmasks for the solvers' inner loops. They are the
+single source of truth that the solvers and witness validation defer to.
 """
 
 from __future__ import annotations
@@ -34,8 +35,26 @@ def is_ktrds(g: Graph, s: Iterable[int], k: int) -> bool:
                for v in range(g.n) if v not in sset)
 
 
-def is_ktrdp(g: Graph, partition: Sequence[Iterable[int]], k: int) -> bool:
-    """True iff the sets are pairwise disjoint, cover V(g), and each is a kTRDS."""
+def mask_is_ktds(masks: Sequence[int], smask: int, k: int,
+                 restrained: bool) -> bool:
+    """Bitmask form of is_ktds (is_ktrds when restrained).
+
+    masks[v] is the neighbor mask of vertex v and smask the mask of S. The
+    frozenset forms above stay the readable reference.
+    """
+    for nb in masks:
+        if (nb & smask).bit_count() < k:
+            return False
+    if restrained:
+        outside = ~smask
+        for v, nb in enumerate(masks):
+            if not (smask >> v) & 1 and (nb & outside).bit_count() < k:
+                return False
+    return True
+
+
+def _is_partition_of(g: Graph, partition: Sequence[Iterable[int]], k: int,
+                     pred) -> bool:
     parts = [_as_set(g, p) for p in partition]
     if not parts:
         return g.n == 0
@@ -43,19 +62,17 @@ def is_ktrdp(g: Graph, partition: Sequence[Iterable[int]], k: int) -> bool:
         return False
     if frozenset().union(*parts) != frozenset(range(g.n)):
         return False
-    return all(is_ktrds(g, p, k) for p in parts)
+    return all(pred(g, p, k) for p in parts)
+
+
+def is_ktrdp(g: Graph, partition: Sequence[Iterable[int]], k: int) -> bool:
+    """True iff the sets are pairwise disjoint, cover V(g), and each is a kTRDS."""
+    return _is_partition_of(g, partition, k, is_ktrds)
 
 
 def is_ktdp(g: Graph, partition: Sequence[Iterable[int]], k: int) -> bool:
     """Domatic-partition predicate for the non-restrained (total) variant."""
-    parts = [_as_set(g, p) for p in partition]
-    if not parts:
-        return g.n == 0
-    if sum(len(p) for p in parts) != g.n:
-        return False
-    if frozenset().union(*parts) != frozenset(range(g.n)):
-        return False
-    return all(is_ktds(g, p, k) for p in parts)
+    return _is_partition_of(g, partition, k, is_ktds)
 
 
 def ktds_failures(g: Graph, s: Iterable[int], k: int) -> list[str]:

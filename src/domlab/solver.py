@@ -1,44 +1,29 @@
 """Exact solvers: domination numbers, domatic numbers, multipartite t0.
 
-gamma_exact runs on the selected search kernel (compiled if available, pure
-Python otherwise). gamma_naive is the independent oracle: a plain subset scan
-in increasing cardinality that shares nothing with the kernel except the
-predicates module.
+gamma_exact runs the branch-and-bound kernel in _gamma_py. gamma_naive is the
+independent oracle: a plain subset scan in increasing cardinality that shares
+nothing with the kernel except the predicates module.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
 from . import _gamma_py
 from .graphs import Graph, complete_multipartite, multipartite_part_of
-from .predicates import is_ktds, is_ktrds
+from .predicates import is_ktds, is_ktrds, mask_is_ktds
 
 VARIANT_TOTAL = "total"
 VARIANT_RESTRAINED = "total-restrained"
 
-try:  # compiled kernel is optional; the build degrades to pure Python
-    from . import _gamma_cy
-except ImportError:  # pragma: no cover - depends on build environment
-    _gamma_cy = None
-
 
 def active_backend() -> str:
-    """Name of the kernel gamma_exact will use (env DOMLAB_PURE forces pure)."""
-    if _gamma_cy is None or os.environ.get("DOMLAB_PURE"):
-        return _gamma_py.BACKEND_NAME
-    return _gamma_cy.BACKEND_NAME
-
-
-def _kernel_solve(n: int, k: int, restrained: bool, masks: list[int]):
-    if _gamma_cy is not None and not os.environ.get("DOMLAB_PURE") \
-            and n <= _gamma_cy.MAX_N:
-        return _gamma_cy.solve_gamma(n, k, restrained, masks)
-    return _gamma_py.solve_gamma(n, k, restrained, masks)
+    """Name of the kernel gamma_exact uses."""
+    return _gamma_py.BACKEND_NAME
 
 
 def normalize_variant(variant: str) -> str:
@@ -123,8 +108,8 @@ def gamma_exact(q: DominationQuery,
     g = q.graph
     _guard(g.n, guards.gamma_n, "gamma_exact")
     t0 = time.perf_counter()
-    value, cert_mask, nodes = _kernel_solve(g.n, q.k, q.restrained,
-                                            g.neighbor_masks())
+    value, cert_mask, nodes = _gamma_py.solve_gamma(g.n, q.k, q.restrained,
+                                                    g.neighbor_masks())
     elapsed = time.perf_counter() - t0
     if value < 0:
         return SolveResult(False, None, None, nodes, elapsed)
@@ -161,7 +146,7 @@ def enumerate_optimal_sets(q: DominationQuery,
     masks = g.neighbor_masks()
     for size in range(g.n + 1):
         hits = [combo for combo in combinations(range(g.n), size)
-                if _mask_ok(masks, g.n, q.k, q.restrained, _to_mask(combo))]
+                if mask_is_ktds(masks, _to_mask(combo), q.k, q.restrained)]
         if hits:
             return [frozenset(c) for c in hits]
     return []
@@ -172,20 +157,6 @@ def _to_mask(vertices) -> int:
     for v in vertices:
         m |= 1 << v
     return m
-
-
-def _mask_ok(masks: list[int], n: int, k: int, restrained: bool,
-             smask: int) -> bool:
-    full = (1 << n) - 1
-    for v in range(n):
-        if (masks[v] & smask).bit_count() < k:
-            return False
-    if restrained:
-        outside = full & ~smask
-        for v in range(n):
-            if not (smask >> v) & 1 and (masks[v] & outside).bit_count() < k:
-                return False
-    return True
 
 
 def t0_exact(parts: Sequence[int], k: int,
@@ -211,7 +182,7 @@ def t0_exact(parts: Sequence[int], k: int,
     t0 = 0
     best_t: int | None = None
     for smask in range(1, 1 << n):
-        if not _mask_ok(masks, n, k, True, smask):
+        if not mask_is_ktds(masks, smask, k, True):
             continue
         size = smask.bit_count()
         if size < gamma:
@@ -326,7 +297,3 @@ def _domatic_search(g: Graph, masks: list[int], k: int, restrained: bool,
 
     rec(0, 0)
     return (solutions, nodes)
-
-
-def with_guards(guards: Guards, **kw) -> Guards:
-    return replace(guards, **kw)

@@ -11,19 +11,18 @@ from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 
 from . import formulas
 from .family_spec import family_graph
 from .graphs import Graph, build_graph, complement, complementary_prism, complete, cycle
-from .predicates import is_ktrds
+from .predicates import is_ktrds, mask_is_ktds
 from .smallgraphs import all_graphs
 from .solver import (DEFAULT_GUARDS, DominationQuery, Guards, GuardExceeded,
                      SolveResult, domatic_exact, enumerate_domatic_partitions,
                      enumerate_optimal_sets, gamma_exact, gamma_naive,
-                     t0_exact, _mask_ok)
+                     t0_exact)
 from .witnesses import (Witness, validate_witness, witness_complement_cycle,
                         witness_complement_path, witness_cycle_trds,
                         witness_prism_cycle_domatic_pair,
@@ -72,7 +71,6 @@ class SweepConfig:
     oracle_random: int = 500
     property_random: int = 200
     guards: Guards = field(default_factory=lambda: DEFAULT_GUARDS)
-    workers: int = 1
     timings: bool = False
 
 
@@ -468,7 +466,7 @@ def _is_bipartite(g: Graph) -> bool:
 def _all_ktrds_masks(g: Graph, k: int):
     masks = g.neighbor_masks()
     for smask in range(1 << g.n):
-        if _mask_ok(masks, g.n, k, True, smask):
+        if mask_is_ktds(masks, smask, k, True):
             yield smask
 
 
@@ -587,23 +585,15 @@ def run_sweep(config: SweepConfig) -> Report:
     if unknown:
         raise ValueError(f"unknown sections: {unknown}")
     t0 = time.perf_counter()
-    jobs = []
+    rows = []
     for name in names:
         fn = SECTIONS[name]
         if name == "oracle":
-            jobs.append(lambda fn=fn: fn(config.guards, config.seed,
-                                         config.oracle_random))
+            rows += fn(config.guards, config.seed, config.oracle_random)
         elif name == "properties":
-            jobs.append(lambda fn=fn: fn(config.guards, config.seed,
-                                         config.property_random))
+            rows += fn(config.guards, config.seed, config.property_random)
         else:
-            jobs.append(lambda fn=fn: fn(config.guards))
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            chunks = list(pool.map(lambda j: j(), jobs))
-    else:
-        chunks = [j() for j in jobs]
-    rows = [row for chunk in chunks for row in chunk]
+            rows += fn(config.guards)
     rows.sort(key=lambda r: r.instance)
     return Report(rows, time.perf_counter() - t0)
 

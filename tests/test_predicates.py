@@ -2,7 +2,8 @@ import pytest
 
 from domlab.graphs import build_graph, complete, cycle
 from domlab.predicates import (is_ktdp, is_ktds, is_ktrdp, is_ktrds,
-                               ktds_failures, ktrds_failures)
+                               ktds_failures, ktrds_failures, mask_is_ktds)
+from domlab.smallgraphs import all_graphs
 
 
 def test_ktds_basic_cycle():
@@ -52,3 +53,16 @@ def test_failure_messages_name_vertices():
 def test_out_of_range_vertices_rejected():
     with pytest.raises(ValueError, match="outside"):
         is_ktds(cycle(4), {0, 9}, 1)
+
+
+def test_mask_predicate_matches_set_predicates():
+    for n in range(1, 7):
+        for g in all_graphs(n):
+            masks = g.neighbor_masks()
+            for smask in range(1 << n):
+                s = [v for v in range(n) if (smask >> v) & 1]
+                for k in (1, 2, 3):
+                    assert mask_is_ktds(masks, smask, k, False) == \
+                        is_ktds(g, s, k)
+                    assert mask_is_ktds(masks, smask, k, True) == \
+                        is_ktrds(g, s, k)
