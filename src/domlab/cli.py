@@ -82,9 +82,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="subset of sweep sections (default: all)")
     p_ver.add_argument("--format", default="csv", choices=["csv", "markdown"])
     p_ver.add_argument("--out", help="report file (default stdout)")
-    p_ver.add_argument("--seed", type=int, default=20230417)
-    p_ver.add_argument("--oracle-random", type=int, default=500)
-    p_ver.add_argument("--property-random", type=int, default=200)
+    p_ver.add_argument("--seed", type=int, default=SweepConfig.seed)
+    p_ver.add_argument("--oracle-random", type=int,
+                       default=SweepConfig.oracle_random)
+    p_ver.add_argument("--property-random", type=int,
+                       default=SweepConfig.property_random)
     p_ver.add_argument("--timings", action="store_true",
                        help="fill runtime_ms (reports stop being byte-stable)")
     return parser
@@ -141,15 +143,14 @@ def _write_report(report: Report, args) -> None:
 def _cmd_verify(args) -> int:
     config = SweepConfig(sections=tuple(args.sections or ()), seed=args.seed,
                          oracle_random=args.oracle_random,
-                         property_random=args.property_random,
-                         guards=Guards.from_env(), timings=args.timings)
+                         property_random=args.property_random)
     report = run_sweep(config)
     _write_report(report, args)
     disc = report.discrepancies
     allow = report.allowlisted_failures
     print(f"rows={report.total} matched={report.matched} "
-          f"discrepancies={len(disc)} allowlisted={len(allow)} "
-          f"skipped={report.skipped}", file=sys.stderr)
+          f"discrepancies={len(disc)} allowlisted={len(allow)}",
+          file=sys.stderr)
     for row in disc[:20]:
         print(f"DISCREPANCY {row.instance}: solver={row.solver} "
               f"formula={row.formula} {row.note}", file=sys.stderr)

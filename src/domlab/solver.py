@@ -96,17 +96,19 @@ class GuardExceeded(ValueError):
     pass
 
 
-def _guard(n: int, limit: int, what: str) -> None:
+def _guard(n: int, guards: Guards, field: str, what: str) -> None:
+    limit = getattr(guards, field)
     if n > limit:
-        raise GuardExceeded(f"{what} guard: n={n} exceeds {limit} "
-                            f"(set DOMLAB_GUARD_N to raise)")
+        raise GuardExceeded(
+            f"{what} guard: n={n} exceeds {field}={limit} (library callers "
+            f"pass Guards({field}=...); the CLI reads DOMLAB_GUARD_N)")
 
 
 def gamma_exact(q: DominationQuery,
                 guards: Guards = DEFAULT_GUARDS) -> SolveResult:
     """Minimum kTDS/kTRDS size via the pruned search kernel."""
     g = q.graph
-    _guard(g.n, guards.gamma_n, "gamma_exact")
+    _guard(g.n, guards, "gamma_n", "gamma_exact")
     t0 = time.perf_counter()
     value, cert_mask, nodes = _gamma_py.solve_gamma(g.n, q.k, q.restrained,
                                                     g.neighbor_masks())
@@ -121,7 +123,7 @@ def gamma_naive(q: DominationQuery,
                 guards: Guards = DEFAULT_GUARDS) -> SolveResult:
     """Independent oracle: unpruned subset scan in increasing cardinality."""
     g = q.graph
-    _guard(g.n, guards.naive_n, "gamma_naive")
+    _guard(g.n, guards, "naive_n", "gamma_naive")
     if g.n == 0 or g.min_degree < q.k:
         return SolveResult(False, None, None, 0, 0.0)
     pred = is_ktrds if q.restrained else is_ktds
@@ -140,7 +142,7 @@ def enumerate_optimal_sets(q: DominationQuery,
                            guards: Guards = DEFAULT_GUARDS) -> list[frozenset[int]]:
     """All minimum-cardinality sets for the variant (empty if infeasible)."""
     g = q.graph
-    _guard(g.n, guards.enumerate_n, "enumerate_optimal_sets")
+    _guard(g.n, guards, "enumerate_n", "enumerate_optimal_sets")
     if g.n == 0 or g.min_degree < q.k:
         return []
     masks = g.neighbor_masks()
@@ -168,7 +170,7 @@ def t0_exact(parts: Sequence[int], k: int,
     proper kTRDS exists, i.e. gamma equals n).
     """
     n = sum(parts)
-    _guard(n, guards.t0_total, "t0_exact")
+    _guard(n, guards, "t0_total", "t0_exact")
     g = complete_multipartite(parts)
     if g.min_degree < k:
         raise ValueError(f"K_{tuple(parts)} has min degree {g.min_degree} < k={k}")
@@ -205,7 +207,7 @@ def domatic_exact(q: DominationQuery,
     the certificate is deterministic.
     """
     g = q.graph
-    _guard(g.n, guards.domatic_n, "domatic_exact")
+    _guard(g.n, guards, "domatic_n", "domatic_exact")
     t_start = time.perf_counter()
     if g.n == 0 or g.min_degree < q.k:
         return SolveResult(False, 0, None, 0, time.perf_counter() - t_start)
@@ -230,7 +232,7 @@ def enumerate_domatic_partitions(q: DominationQuery, d: int,
     """All d-class partitions whose classes satisfy the variant predicate
     (classes in first-use order, so label permutations are deduplicated)."""
     g = q.graph
-    _guard(g.n, guards.domatic_n, "enumerate_domatic_partitions")
+    _guard(g.n, guards, "domatic_n", "enumerate_domatic_partitions")
     if g.n == 0 or g.min_degree < q.k or d < 1:
         return []
     if d == 1:

@@ -8,7 +8,7 @@ the report layer can flag them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .graphs import Graph
 from .predicates import is_ktds, is_ktrds, ktds_failures, ktrds_failures
@@ -20,12 +20,6 @@ class Witness:
 
     sets: tuple[frozenset[int], ...]
     source: str
-    claimed_sizes: tuple[int, ...] = field(default=())
-
-    def __post_init__(self):
-        if not self.claimed_sizes:
-            object.__setattr__(self, "claimed_sizes",
-                               tuple(len(s) for s in self.sets))
 
     @property
     def vertices(self) -> frozenset[int]:

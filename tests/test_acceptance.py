@@ -11,14 +11,11 @@ import time
 
 import pytest
 
-from domlab.solver import Guards
 from domlab.verify import (Report, SweepConfig, check_bipartite,
                            check_complements, check_complete, check_cycles,
                            check_multipartite, check_oracle, check_prisms,
                            check_properties, check_sandwich, check_witnesses,
                            run_sweep, write_csv)
-
-GUARDS = Guards()
 
 
 def _summarize(rows):
@@ -33,7 +30,7 @@ def _line(num, ok, detail=""):
 
 def test_criterion_1_complete_graphs():
     t0 = time.time()
-    rows = check_complete(GUARDS)
+    rows = check_complete()
     elapsed = time.time() - t0
     disc = _summarize(rows)
     ok = not disc and elapsed < 10
@@ -43,21 +40,21 @@ def test_criterion_1_complete_graphs():
 
 
 def test_criterion_2_cycles():
-    rows = check_cycles(GUARDS)
+    rows = check_cycles()
     disc = _summarize(rows)
     _line(2, not disc, f"{len(rows)} instances")
     assert not disc, disc
 
 
 def test_criterion_3_complements():
-    rows = check_complements(GUARDS)
+    rows = check_complements()
     disc = _summarize(rows)
     _line(3, not disc, f"{len(rows)} instances")
     assert not disc, disc
 
 
 def test_criterion_4_bipartite_multipartite():
-    rows = check_bipartite(GUARDS) + check_multipartite(GUARDS)
+    rows = check_bipartite() + check_multipartite()
     disc = _summarize(rows)
     _line(4, not disc, f"{len(rows)} instances")
     assert not disc, disc
@@ -74,7 +71,7 @@ REFUTED = {
 
 def test_criterion_5_prisms_honest_red():
     t0 = time.time()
-    rows = check_prisms(GUARDS)
+    rows = check_prisms()
     elapsed = time.time() - t0
     assert elapsed < 300
     disc = _summarize(rows)
@@ -104,22 +101,22 @@ def test_criterion_5_prisms_honest_red():
 
 
 def test_criterion_6_oracle_equivalence():
-    rows = check_oracle(GUARDS, seed=20230417, random_count=500)
+    rows = check_oracle(seed=20230417, random_count=500)
     disc = _summarize(rows)
     _line(6, not disc, f"{len(rows)} comparisons")
     assert not disc, disc
 
 
 def test_criterion_7_theorem_suites():
-    rows = check_properties(GUARDS, seed=20230417, random_count=200)
-    rows += check_sandwich(GUARDS)
+    rows = check_properties(seed=20230417, random_count=200)
+    rows += check_sandwich()
     disc = _summarize(rows)
     _line(7, not disc, f"{len(rows)} property checks")
     assert not disc, disc
 
 
 def test_criterion_8_witness_validation():
-    rows = check_witnesses(GUARDS)
+    rows = check_witnesses()
     disc = _summarize(rows)
     assert not disc, disc
     # allowlisted failures must be individually reported with the failing
@@ -133,8 +130,7 @@ def test_criterion_8_witness_validation():
 
 
 def test_criterion_9_determinism():
-    config = SweepConfig(guards=GUARDS, seed=20230417, oracle_random=60,
-                         property_random=60)
+    config = SweepConfig(seed=20230417, oracle_random=60, property_random=60)
     buf1, buf2 = io.StringIO(), io.StringIO()
     write_csv(run_sweep(config), buf1)
     write_csv(run_sweep(config), buf2)

@@ -93,3 +93,20 @@ def test_verify_prisms_reports_refutations(capsys, tmp_path):
 def test_verify_unknown_section(capsys):
     code, _, err = run(["verify-paper", "--sections", "nope"], capsys)
     assert code == 1
+
+
+def test_guard_env_ignored_by_verify_honoured_by_gamma(capsys, monkeypatch,
+                                                      tmp_path):
+    monkeypatch.setenv("DOMLAB_GUARD_N", "9")
+    # the sweep's sizes are fixed: a low cap neither skips rows nor hides
+    # the three refutations
+    code, _, err = run(["verify-paper", "--sections", "prisms",
+                        "--out", str(tmp_path / "report.csv")], capsys)
+    assert code == 3
+    assert err.count("DISCREPANCY") == 3
+    for inst in ("prism:cycle:5|k=2|gamma-t", "prism:path:8|k=1|gamma-r",
+                 "prism:path:8|k=1|gamma-t"):
+        assert f"DISCREPANCY {inst}:" in err
+    code, _, err = run(["gamma", "--family", "cycle:12"], capsys)
+    assert code == 1
+    assert "DOMLAB_GUARD_N" in err

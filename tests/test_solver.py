@@ -110,8 +110,10 @@ def test_t0_zero_iff_gamma_n():
 
 def test_guards_raise():
     big = cycle(25)
-    with pytest.raises(GuardExceeded, match="DOMLAB_GUARD_N"):
+    with pytest.raises(GuardExceeded, match="DOMLAB_GUARD_N") as exc:
         gamma_exact(DominationQuery(big, 1), Guards())
+    assert "gamma_n=20" in str(exc.value)
+    assert "Guards(gamma_n=" in str(exc.value)
 
 
 def test_guards_env_override(monkeypatch):
