@@ -133,14 +133,6 @@ def complete_multipartite(parts: Sequence[int]) -> Graph:
     return _assemble(n, edge_set)
 
 
-def multipartite_part_of(parts: Sequence[int]) -> list[int]:
-    """Part index of each vertex of complete_multipartite(parts)."""
-    out: list[int] = []
-    for i, p in enumerate(parts):
-        out.extend([i] * p)
-    return out
-
-
 def complement(g: Graph) -> Graph:
     """Same vertex set and labels; uv an edge iff it is not one in g."""
     edge_set = {(u, v) for u in range(g.n) for v in range(u + 1, g.n)
@@ -258,22 +250,24 @@ def write_edge_list(g: Graph, fh) -> None:
         fh.write(f"{u} {v}\n")
 
 
+def _int_pair(line: str, kind: str) -> tuple[int, int]:
+    toks = line.split()
+    try:
+        if len(toks) == 2:
+            return int(toks[0]), int(toks[1])
+    except ValueError:
+        pass
+    raise ValueError(f"bad {kind} line: {line!r}")
+
+
 def read_edge_list(fh) -> Graph:
     """Parse the text edge-list format; '#' starts a comment line."""
     lines = [ln.strip() for ln in fh
              if ln.strip() and not ln.strip().startswith("#")]
     if not lines:
         raise ValueError("empty edge-list input")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError(f"bad header line: {lines[0]!r}")
-    n, m = int(head[0]), int(head[1])
-    edges = []
-    for ln in lines[1:]:
-        toks = ln.split()
-        if len(toks) != 2:
-            raise ValueError(f"bad edge line: {ln!r}")
-        edges.append((int(toks[0]), int(toks[1])))
+    n, m = _int_pair(lines[0], "header")
+    edges = [_int_pair(ln, "edge") for ln in lines[1:]]
     if len(edges) != m:
         raise ValueError(f"header promises {m} edges, found {len(edges)}")
     return build_graph(n, edges)

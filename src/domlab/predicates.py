@@ -22,17 +22,12 @@ def _as_set(g: Graph, s: Iterable[int]) -> frozenset[int]:
 
 def is_ktds(g: Graph, s: Iterable[int], k: int) -> bool:
     """True iff every vertex of g (inside or outside s) has >= k neighbors in s."""
-    sset = _as_set(g, s)
-    return all(len(g.adj[v] & sset) >= k for v in range(g.n))
+    return not ktds_failures(g, s, k)
 
 
 def is_ktrds(g: Graph, s: Iterable[int], k: int) -> bool:
     """True iff s is a kTDS and every vertex outside s has >= k neighbors outside s."""
-    sset = _as_set(g, s)
-    if not is_ktds(g, sset, k):
-        return False
-    return all(len(g.adj[v] - sset) >= k
-               for v in range(g.n) if v not in sset)
+    return not ktrds_failures(g, s, k)
 
 
 def mask_is_ktds(masks: Sequence[int], smask: int, k: int,
@@ -40,7 +35,7 @@ def mask_is_ktds(masks: Sequence[int], smask: int, k: int,
     """Bitmask form of is_ktds (is_ktrds when restrained).
 
     masks[v] is the neighbor mask of vertex v and smask the mask of S. The
-    frozenset forms above stay the readable reference.
+    set forms (ktds_failures, ktrds_failures) stay the readable reference.
     """
     for nb in masks:
         if (nb & smask).bit_count() < k:

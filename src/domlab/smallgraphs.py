@@ -77,46 +77,14 @@ def canonical_code(g: Graph) -> tuple:
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
-    """Backtracking isomorphism test with degree and refinement pruning."""
+    """Isomorphism test: cheap invariants, then equal canonical codes."""
     if max(g.n, h.n) > ISO_MAX_N:
         raise ValueError(f"isomorphism check supports n <= {ISO_MAX_N}")
     if g.n != h.n or g.num_edges != h.num_edges:
         return False
     if g.degree_sequence() != h.degree_sequence():
         return False
-    cg, ch = _refine_colors(g), _refine_colors(h)
-    if sorted(cg) != sorted(ch):
-        return False
-    n = g.n
-    # map vertices of g in order of rarest color first
-    freq = {c: cg.count(c) for c in set(cg)}
-    order = sorted(range(n), key=lambda v: (freq[cg[v]], cg[v], v))
-    candidates = [[w for w in range(n) if ch[w] == cg[v]] for v in order]
-    mapping: dict[int, int] = {}
-    used = [False] * n
-
-    def rec(i: int) -> bool:
-        if i == n:
-            return True
-        v = order[i]
-        for w in candidates[i]:
-            if used[w]:
-                continue
-            ok = True
-            for pv, pw in mapping.items():
-                if (pv in g.adj[v]) != (pw in h.adj[w]):
-                    ok = False
-                    break
-            if ok:
-                mapping[v] = w
-                used[w] = True
-                if rec(i + 1):
-                    return True
-                used[w] = False
-                del mapping[v]
-        return False
-
-    return rec(0)
+    return canonical_code(g) == canonical_code(h)
 
 
 @lru_cache(maxsize=None)

@@ -1,8 +1,11 @@
 """Exact solvers: domination numbers, domatic numbers, multipartite t0.
 
 gamma_exact runs the branch-and-bound kernel in _gamma_py. gamma_naive is the
-independent oracle: a plain subset scan in increasing cardinality that shares
-nothing with the kernel except the predicates module.
+independent oracle: an unpruned scan of subset_masks with
+predicates.mask_is_ktds that shares nothing with the kernel except the
+predicates module. subset_masks is the one exhaustive subset loop; it also
+drives enumerate_optimal_sets and the sweep's property suite. t0_exact scans
+per-part counts instead of subsets.
 """
 
 from __future__ import annotations
@@ -10,11 +13,11 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Sequence
+from itertools import combinations, product
+from typing import Iterator, Sequence
 
 from . import _gamma_py
-from .graphs import Graph, complete_multipartite, multipartite_part_of
+from .graphs import Graph
 from .predicates import is_ktds, is_ktrds, mask_is_ktds
 
 VARIANT_TOTAL = "total"
@@ -82,11 +85,17 @@ class Guards:
     @classmethod
     def from_env(cls) -> "Guards":
         override = os.environ.get("DOMLAB_GUARD_N")
-        if override:
+        if not override:
+            return cls()
+        try:
             v = int(override)
-            return cls(naive_n=v, gamma_n=v, enumerate_n=v, domatic_n=v,
-                       t0_total=v)
-        return cls()
+        except ValueError:
+            v = 0
+        if v < 1:
+            raise ValueError("DOMLAB_GUARD_N must be an integer >= 1, got "
+                             f"{override!r}")
+        return cls(naive_n=v, gamma_n=v, enumerate_n=v, domatic_n=v,
+                   t0_total=v)
 
 
 DEFAULT_GUARDS = Guards()
@@ -104,6 +113,19 @@ def _guard(n: int, guards: Guards, field: str, what: str) -> None:
             f"pass Guards({field}=...); the CLI reads DOMLAB_GUARD_N)")
 
 
+def subset_masks(n: int) -> Iterator[int]:
+    """Every subset of range(n) as a bitmask, by increasing size and, within
+    a size, in the lexicographic order of combinations(range(n), size)."""
+    bits = [1 << v for v in range(n)]
+    for size in range(n + 1):
+        for combo in combinations(bits, size):
+            yield sum(combo)
+
+
+def _vertices(mask: int, n: int) -> frozenset[int]:
+    return frozenset(v for v in range(n) if (mask >> v) & 1)
+
+
 def gamma_exact(q: DominationQuery,
                 guards: Guards = DEFAULT_GUARDS) -> SolveResult:
     """Minimum kTDS/kTRDS size via the pruned search kernel."""
@@ -115,27 +137,32 @@ def gamma_exact(q: DominationQuery,
     elapsed = time.perf_counter() - t0
     if value < 0:
         return SolveResult(False, None, None, nodes, elapsed)
-    cert = frozenset(v for v in range(g.n) if (cert_mask >> v) & 1)
-    return SolveResult(True, value, cert, nodes, elapsed)
+    return SolveResult(True, value, _vertices(cert_mask, g.n), nodes, elapsed)
 
 
 def gamma_naive(q: DominationQuery,
                 guards: Guards = DEFAULT_GUARDS) -> SolveResult:
-    """Independent oracle: unpruned subset scan in increasing cardinality."""
+    """Independent oracle: unpruned subset scan in increasing cardinality.
+
+    The first set that passes is re-checked with the set-form predicate.
+    With minimum degree at least k the scan stops by V at the latest: V is
+    then a kTDS, and a kTRDS because no vertex lies outside it.
+    """
     g = q.graph
     _guard(g.n, guards, "naive_n", "gamma_naive")
     if g.n == 0 or g.min_degree < q.k:
         return SolveResult(False, None, None, 0, 0.0)
-    pred = is_ktrds if q.restrained else is_ktds
     t0 = time.perf_counter()
-    checked = 0
-    for size in range(g.n + 1):
-        for combo in combinations(range(g.n), size):
-            checked += 1
-            if pred(g, combo, q.k):
-                return SolveResult(True, size, frozenset(combo), checked,
-                                   time.perf_counter() - t0)
-    return SolveResult(False, None, None, checked, time.perf_counter() - t0)
+    masks = g.neighbor_masks()
+    for checked, smask in enumerate(subset_masks(g.n), 1):
+        if mask_is_ktds(masks, smask, q.k, q.restrained):
+            break
+    cert = _vertices(smask, g.n)
+    if not (is_ktrds if q.restrained else is_ktds)(g, cert, q.k):
+        raise RuntimeError(f"gamma_naive: {sorted(cert)} passes the bitmask "
+                           "predicate but not the set form")
+    return SolveResult(True, len(cert), cert, checked,
+                       time.perf_counter() - t0)
 
 
 def enumerate_optimal_sets(q: DominationQuery,
@@ -146,55 +173,45 @@ def enumerate_optimal_sets(q: DominationQuery,
     if g.n == 0 or g.min_degree < q.k:
         return []
     masks = g.neighbor_masks()
-    for size in range(g.n + 1):
-        hits = [combo for combo in combinations(range(g.n), size)
-                if mask_is_ktds(masks, _to_mask(combo), q.k, q.restrained)]
-        if hits:
-            return [frozenset(c) for c in hits]
-    return []
-
-
-def _to_mask(vertices) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
+    hits: list[int] = []
+    for smask in subset_masks(g.n):
+        if hits and smask.bit_count() > hits[0].bit_count():
+            break
+        if mask_is_ktds(masks, smask, q.k, q.restrained):
+            hits.append(smask)
+    return [_vertices(m, g.n) for m in hits]
 
 
 def t0_exact(parts: Sequence[int], k: int,
              guards: Guards = DEFAULT_GUARDS) -> MultipartiteAnalysis:
-    """Enumerate every kTRDS of the complete multipartite graph.
+    """Scan every kTRDS of the complete multipartite graph K_parts.
 
-    t(S) counts parts not fully inside S; t0 is its minimum over proper
-    kTRDS (the full vertex set always has t = 0, so t0 = 0 exactly when no
-    proper kTRDS exists, i.e. gamma equals n).
+    Whether S is a kTRDS depends only on the counts c_i = |S ∩ part i|: a
+    vertex of part i has |S| - c_i neighbours in S and, if it lies outside S,
+    (n - |S|) - (n_i - c_i) neighbours outside S. So the scan runs over the
+    prod(n_i + 1) count vectors, not the 2^n subsets. t(S) counts parts not
+    fully inside S; t0 is its minimum over proper kTRDS (the full vertex set
+    always has t = 0, so t0 = 0 exactly when no proper kTRDS exists, i.e.
+    gamma equals n).
     """
     n = sum(parts)
     _guard(n, guards, "t0_total", "t0_exact")
-    g = complete_multipartite(parts)
-    if g.min_degree < k:
-        raise ValueError(f"K_{tuple(parts)} has min degree {g.min_degree} < k={k}")
-    part_of = multipartite_part_of(parts)
-    part_masks = [0] * len(parts)
-    for v, p in enumerate(part_of):
-        part_masks[p] |= 1 << v
-    masks = g.neighbor_masks()
-    full = (1 << n) - 1
+    if not parts or min(parts) < 1:
+        raise ValueError(f"part sizes must be positive, got {list(parts)}")
+    if n - max(parts) < k:
+        raise ValueError(f"K_{tuple(parts)} has min degree {n - max(parts)} "
+                         f"< k={k}")
     gamma = n
     t0 = 0
-    best_t: int | None = None
-    for smask in range(1, 1 << n):
-        if not mask_is_ktds(masks, smask, k, True):
+    for counts in product(*(range(p + 1) for p in parts)):
+        size = sum(counts)
+        if not all(size - c >= k and (c == p or n - size - (p - c) >= k)
+                   for c, p in zip(counts, parts)):
             continue
-        size = smask.bit_count()
-        if size < gamma:
-            gamma = size
-        if smask != full:
-            t = sum(1 for pm in part_masks if pm & ~smask)
-            if best_t is None or t < best_t:
-                best_t = t
-    if best_t is not None:
-        t0 = best_t
+        gamma = min(gamma, size)
+        t = sum(c < p for c, p in zip(counts, parts))
+        if t and (not t0 or t < t0):
+            t0 = t
     return MultipartiteAnalysis(tuple(parts), k, t0, gamma)
 
 

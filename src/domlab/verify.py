@@ -20,7 +20,7 @@ from .predicates import mask_is_ktds
 from .smallgraphs import all_graphs
 from .solver import (DominationQuery, SolveResult, domatic_exact,
                      enumerate_domatic_partitions, enumerate_optimal_sets,
-                     gamma_exact, gamma_naive, t0_exact)
+                     gamma_exact, gamma_naive, subset_masks, t0_exact)
 from .witnesses import (Witness, validate_witness, witness_complement_cycle,
                         witness_complement_path, witness_cycle_trds,
                         witness_prism_cycle_domatic_pair,
@@ -434,13 +434,6 @@ def _is_bipartite(g: Graph) -> bool:
     return True
 
 
-def _all_ktrds_masks(g: Graph, k: int):
-    masks = g.neighbor_masks()
-    for smask in range(1 << g.n):
-        if mask_is_ktds(masks, smask, k, True):
-            yield smask
-
-
 def check_properties(seed: int, random_count: int) -> list[Row]:
     """Theorem suites on seeded random graphs (n <= 10, k in {1, 2})."""
     rows = []
@@ -487,8 +480,9 @@ def check_properties(seed: int, random_count: int) -> list[Row]:
                      str(dr.value), capb.render())
             low = sum(1 << v for v in range(n) if g.degree(v) <= 2 * k - 1)
             if n <= 8 and low:
-                ok = all(smask & low == low
-                         for smask in _all_ktrds_masks(g, k))
+                masks = g.neighbor_masks()
+                ok = all(smask & low == low for smask in subset_masks(n)
+                         if mask_is_ktds(masks, smask, k, True))
                 prop("low-degree-in-every-set", ok, "all kTRDS",
                      "contain low-degree vertices")
             if g.min_degree <= 2 * k - 1:

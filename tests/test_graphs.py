@@ -137,3 +137,15 @@ def test_read_edge_list_comments_and_errors():
     assert g.n == 3 and g.num_edges == 2
     with pytest.raises(ValueError, match="promises"):
         read_edge_list(io.StringIO("3 2\n0 1\n"))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("3 x\n0 1\n", "bad header line: '3 x'"),
+    ("3\n", "bad header line: '3'"),
+    ("3 1\n0 a\n", "bad edge line: '0 a'"),
+    ("3 1\n0 1 2\n", "bad edge line: '0 1 2'"),
+])
+def test_read_edge_list_names_bad_line(text, message):
+    with pytest.raises(ValueError) as exc:
+        read_edge_list(io.StringIO(text))
+    assert str(exc.value) == message

@@ -1,8 +1,12 @@
+from itertools import product
+
 import pytest
 
 from domlab.graphs import (complement, complementary_prism, complete,
-                           complete_bipartite, cycle, path)
-from domlab.predicates import is_ktdp, is_ktds, is_ktrdp, is_ktrds
+                           complete_bipartite, complete_multipartite, cycle,
+                           path)
+from domlab.predicates import (is_ktdp, is_ktds, is_ktrdp, is_ktrds,
+                               mask_is_ktds)
 from domlab.smallgraphs import all_graphs
 from domlab.solver import (DominationQuery, Guards, GuardExceeded,
                            active_backend, domatic_exact,
@@ -49,6 +53,19 @@ def test_naive_oracle_agrees_on_small_graphs():
                 continue
             q = DominationQuery(g, k)
             assert gamma_exact(q).value == gamma_naive(q).value
+
+
+def test_naive_certificate_is_valid_and_minimum_sized():
+    graphs = list(all_graphs(5)) + [cycle(9), complementary_prism(cycle(5))]
+    for g in graphs:
+        for k in (1, 2, 3):
+            if g.min_degree < k:
+                continue
+            for variant, pred in (("total", is_ktds),
+                                  ("restrained", is_ktrds)):
+                res = gamma_naive(DominationQuery(g, k, variant))
+                assert res.feasible and len(res.certificate) == res.value
+                assert pred(g, res.certificate, k)
 
 
 def test_enumerate_optimal_sets_cycle():
@@ -108,6 +125,49 @@ def test_t0_zero_iff_gamma_n():
         assert (analysis.t0 == 0) == (analysis.gamma_value == sum(parts))
 
 
+def _t0_by_subsets(parts, k):
+    """t0 and gamma of K_parts from all 2^n vertex subsets."""
+    g = complete_multipartite(parts)
+    masks = g.neighbor_masks()
+    part_masks, start = [], 0
+    for p in parts:
+        part_masks.append(((1 << p) - 1) << start)
+        start += p
+    full = (1 << g.n) - 1
+    sizes, ts = [], []
+    for smask in range(1, full + 1):
+        if mask_is_ktds(masks, smask, k, True):
+            sizes.append(smask.bit_count())
+            if smask != full:
+                ts.append(sum(1 for pm in part_masks if pm & ~smask))
+    return min(ts, default=0), min(sizes)
+
+
+def test_t0_exact_matches_subset_scan():
+    checked = 0
+    for p in (3, 4):
+        for parts in product(range(1, 8), repeat=p):
+            if sum(parts) > 9 or list(parts) != sorted(parts, reverse=True):
+                continue
+            for k in (1, 2, 3):
+                if sum(parts) - max(parts) < k:
+                    continue
+                a = t0_exact(parts, k)
+                assert (a.t0, a.gamma_value) == _t0_by_subsets(parts, k), \
+                    (parts, k)
+                checked += 1
+    assert checked > 50
+
+
+def test_t0_exact_rejects_bad_input():
+    with pytest.raises(ValueError, match="min degree 2 < k=3"):
+        t0_exact((2, 1, 1), 3)
+    with pytest.raises(ValueError, match="positive"):
+        t0_exact((2, 0, 1), 1)
+    with pytest.raises(ValueError, match="positive"):
+        t0_exact((), 1)
+
+
 def test_guards_raise():
     big = cycle(25)
     with pytest.raises(GuardExceeded, match="DOMLAB_GUARD_N") as exc:
@@ -119,6 +179,13 @@ def test_guards_raise():
 def test_guards_env_override(monkeypatch):
     monkeypatch.setenv("DOMLAB_GUARD_N", "30")
     assert Guards.from_env().gamma_n == 30
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2"])
+def test_guards_env_rejects_bad_values(monkeypatch, value):
+    monkeypatch.setenv("DOMLAB_GUARD_N", value)
+    with pytest.raises(ValueError, match=f"DOMLAB_GUARD_N.*'{value}'"):
+        Guards.from_env()
 
 
 def test_variant_normalization():
