@@ -3,10 +3,9 @@ domination and domatic numbers on small graphs."""
 
 from .family_spec import FamilySpecError, family_graph
 from .formulas import FormulaVerdict
-from .graphs import (Graph, build_graph, cartesian_product, complement,
-                     complementary_prism, complementary_product, complete,
-                     complete_bipartite, complete_multipartite, corona_k1,
-                     cycle, induced_subgraph, k_join, path, read_edge_list,
+from .graphs import (Graph, build_graph, complement, complementary_prism,
+                     complete, complete_bipartite, complete_multipartite,
+                     corona_k1, cycle, k_join, path, read_edge_list,
                      write_edge_list)
 from .predicates import is_ktdp, is_ktds, is_ktrdp, is_ktrds
 from .solver import (DominationQuery, Guards, GuardExceeded, SolveResult,
@@ -19,9 +18,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FamilySpecError", "family_graph", "FormulaVerdict", "Graph",
-    "build_graph", "cartesian_product", "complement", "complementary_prism",
-    "complementary_product", "complete", "complete_bipartite",
-    "complete_multipartite", "corona_k1", "cycle", "induced_subgraph",
+    "build_graph", "complement", "complementary_prism", "complete",
+    "complete_bipartite", "complete_multipartite", "corona_k1", "cycle",
     "k_join", "path", "read_edge_list", "write_edge_list", "is_ktdp",
     "is_ktds", "is_ktrdp", "is_ktrds", "DominationQuery", "Guards",
     "GuardExceeded", "SolveResult", "active_backend", "domatic_exact",

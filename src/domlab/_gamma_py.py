@@ -45,8 +45,6 @@ def solve_gamma(n: int, k: int, restrained: bool,
         nodes += 1
         budget = s - cnt_in
         rest = n - i
-        if budget < 0 or budget > rest:
-            return -1
         if budget == 0:
             return in_mask if mask_is_ktds(masks, in_mask, k, restrained) else -1
         undecided = full & ~((1 << i) - 1)
@@ -71,9 +69,8 @@ def solve_gamma(n: int, k: int, restrained: bool,
             return -1
         return dfs(i + 1, in_mask, out_mask | bit, cnt_in, s)
 
-    lb = max(k + 1, forced.bit_count())
-    for s in range(lb, n + 1):
-        r = dfs(0, 0, 0, 0, s)
-        if r >= 0:
-            return (s, r, nodes)
-    return (n, full, nodes)
+    # s = n always hits: with min degree >= k, V is a kTDS and a kTRDS
+    s = max(k + 1, forced.bit_count())
+    while (r := dfs(0, 0, 0, 0, s)) < 0:
+        s += 1
+    return (s, r, nodes)

@@ -45,6 +45,17 @@ def _load_graph(args) -> Graph:
         return read_edge_list(fh)
 
 
+def _count(text: str) -> int:
+    try:
+        v = int(text)
+    except ValueError:
+        v = -1
+    if v < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 0, got {text!r}")
+    return v
+
+
 def _fmt_set(s) -> str:
     return "{" + ", ".join(str(v + 1) for v in sorted(s)) + "}"
 
@@ -83,9 +94,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--format", default="csv", choices=["csv", "markdown"])
     p_ver.add_argument("--out", help="report file (default stdout)")
     p_ver.add_argument("--seed", type=int, default=SweepConfig.seed)
-    p_ver.add_argument("--oracle-random", type=int,
+    p_ver.add_argument("--oracle-random", type=_count,
                        default=SweepConfig.oracle_random)
-    p_ver.add_argument("--property-random", type=int,
+    p_ver.add_argument("--property-random", type=_count,
                        default=SweepConfig.property_random)
     p_ver.add_argument("--timings", action="store_true",
                        help="fill runtime_ms (reports stop being byte-stable)")

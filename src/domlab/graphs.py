@@ -1,4 +1,4 @@
-"""Immutable simple graphs: standard families, complements, products, prisms, joins.
+"""Immutable simple graphs: standard families, complements, prisms, coronas, joins.
 
 Vertices are labeled 0..n-1 internally; 1-based labels appear only in I/O.
 """
@@ -140,31 +140,6 @@ def complement(g: Graph) -> Graph:
     return _assemble(g.n, edge_set, g.labels)
 
 
-def complementary_product(g: Graph, h: Graph, r: Iterable[int],
-                          s: Iterable[int]) -> Graph:
-    """G(R) square H(S): vertex (i, j) is numbered i*n(H) + j (row-major)."""
-    rset, sset = set(r), set(s)
-    if not rset <= set(range(g.n)):
-        raise ValueError("R must be a subset of V(G)")
-    if not sset <= set(range(h.n)):
-        raise ValueError("S must be a subset of V(H)")
-    nh = h.n
-    edge_set: set[tuple[int, int]] = set()
-    for i in range(g.n):
-        in_r = i in rset
-        for j in range(nh):
-            for kk in range(j + 1, nh):
-                if h.has_edge(j, kk) == in_r:
-                    edge_set.add((i * nh + j, i * nh + kk))
-    for j in range(nh):
-        in_s = j in sset
-        for i in range(g.n):
-            for hh in range(i + 1, g.n):
-                if g.has_edge(i, hh) == in_s:
-                    edge_set.add((i * nh + j, hh * nh + j))
-    return _assemble(g.n * h.n, edge_set)
-
-
 def complementary_prism(g: Graph) -> Graph:
     """G joined to its complement by a perfect matching.
 
@@ -220,27 +195,6 @@ def k_join(f: Graph, h: Graph, k: int,
         for j in sub:
             edge_set.add((i, nf + j))
     return _assemble(nf + h.n, edge_set)
-
-
-def cartesian_product(g: Graph, h: Graph) -> Graph:
-    """Standard cartesian product, row-major numbering (i, j) -> i*n(H) + j."""
-    nh = h.n
-    edge_set: set[tuple[int, int]] = set()
-    for i in range(g.n):
-        for j, kk in h.edges():
-            edge_set.add((i * nh + j, i * nh + kk))
-    for j in range(nh):
-        for i, hh in g.edges():
-            edge_set.add((i * nh + j, hh * nh + j))
-    return _assemble(g.n * h.n, edge_set)
-
-
-def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:
-    """Subgraph induced on the given vertices, renumbered in the given order."""
-    index = {v: i for i, v in enumerate(vertices)}
-    edge_set = {(index[u], index[v]) for u in vertices for v in g.adj[u]
-                if v in index and index[u] < index[v]}
-    return _assemble(len(vertices), edge_set)
 
 
 def write_edge_list(g: Graph, fh) -> None:

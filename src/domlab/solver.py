@@ -5,7 +5,9 @@ independent oracle: an unpruned scan of subset_masks with
 predicates.mask_is_ktds that shares nothing with the kernel except the
 predicates module. subset_masks is the one exhaustive subset loop; it also
 drives enumerate_optimal_sets and the sweep's property suite. t0_exact scans
-per-part counts instead of subsets.
+per-part counts instead of subsets. domatic_exact and
+enumerate_domatic_partitions share one class-assignment search for both
+variants and re-check each partition it returns with is_ktrdp or is_ktdp.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Iterator, Sequence
 
 from . import _gamma_py
 from .graphs import Graph
-from .predicates import is_ktds, is_ktrds, mask_is_ktds
+from .predicates import is_ktdp, is_ktds, is_ktrdp, is_ktrds, mask_is_ktds
 
 VARIANT_TOTAL = "total"
 VARIANT_RESTRAINED = "total-restrained"
@@ -219,9 +221,10 @@ def domatic_exact(q: DominationQuery,
                   guards: Guards = DEFAULT_GUARDS) -> SolveResult:
     """Maximum kTRDP/kTDP class count via backtracking class assignment.
 
-    Tries class counts descending from min(n // (k+1), min_degree // k);
-    vertex 0 is pinned to class 0 and classes appear in first-use order, so
-    the certificate is deterministic.
+    Both variants run the same search (see _domatic_search). Class counts
+    are tried descending from min(n // (k+1), min_degree // k); vertex 0 is
+    pinned to class 0 and classes appear in first-use order, so the
+    certificate is deterministic. It is re-checked with is_ktrdp or is_ktdp.
     """
     g = q.graph
     _guard(g.n, guards, "domatic_n", "domatic_exact")
@@ -232,15 +235,13 @@ def domatic_exact(q: DominationQuery,
     cap = min(g.n // (q.k + 1), g.min_degree // q.k)
     nodes = 0
     for d in range(cap, 1, -1):
-        found = _domatic_search(g, masks, q.k, q.restrained, d,
-                                first_only=True)
-        nodes += found[1]
-        if found[0]:
-            cert = tuple(frozenset(c) for c in found[0][0])
-            return SolveResult(True, d, cert, nodes,
+        found, searched = _domatic_search(masks, q.k, d, first_only=True)
+        nodes += searched
+        if found:
+            return SolveResult(True, d, _partition(q, found[0]), nodes,
                                time.perf_counter() - t_start)
-    cert = (frozenset(range(g.n)),)
-    return SolveResult(True, 1, cert, nodes, time.perf_counter() - t_start)
+    return SolveResult(True, 1, _partition(q, ((1 << g.n) - 1,)), nodes,
+                       time.perf_counter() - t_start)
 
 
 def enumerate_domatic_partitions(q: DominationQuery, d: int,
@@ -252,40 +253,45 @@ def enumerate_domatic_partitions(q: DominationQuery, d: int,
     _guard(g.n, guards, "domatic_n", "enumerate_domatic_partitions")
     if g.n == 0 or g.min_degree < q.k or d < 1:
         return []
-    if d == 1:
-        return [(frozenset(range(g.n)),)]
-    found = _domatic_search(g, g.neighbor_masks(), q.k, q.restrained, d,
-                            first_only=False)
-    return [tuple(frozenset(c) for c in sol) for sol in found[0]]
+    found, _ = _domatic_search(g.neighbor_masks(), q.k, d, first_only=False)
+    return [_partition(q, classes) for classes in found]
 
 
-def _domatic_search(g: Graph, masks: list[int], k: int, restrained: bool,
-                    d: int, first_only: bool):
-    """Assign vertices 0..n-1 to d classes; returns (solutions, nodes)."""
-    n = g.n
-    deg = [masks[v].bit_count() for v in range(n)]
-    class_masks = [0] * d
-    assign = [-1] * n
-    solutions: list[list[list[int]]] = []
+def _partition(q: DominationQuery,
+               class_masks: Sequence[int]) -> tuple[frozenset[int], ...]:
+    """Class masks as vertex sets, re-checked with the set-form predicate."""
+    g = q.graph
+    part = tuple(_vertices(m, g.n) for m in class_masks)
+    if not (is_ktrdp if q.restrained else is_ktdp)(g, part, q.k):
+        raise RuntimeError(f"domatic search: {[sorted(c) for c in part]} is "
+                           f"not a {'kTRDP' if q.restrained else 'kTDP'}")
+    return part
+
+
+def _domatic_search(masks: list[int], k: int, d: int,
+                    first_only: bool) -> tuple[list[tuple[int, ...]], int]:
+    """Assign vertices 0..n-1 to d classes so that every vertex has k
+    neighbours in every class; returns (class-mask tuples, nodes).
+
+    A branch dies once some vertex's deficit, the sum over classes of
+    max(0, k - |N(v) ∩ C|), exceeds its unassigned neighbours. At a leaf
+    every deficit is 0, so every class is a kTDS. Every class is then a
+    kTRDS as well: a vertex outside one class lies in another and has k
+    neighbours there. So one search serves both variants.
+    """
+    n = len(masks)
+    classes = [0] * d
+    solutions: list[tuple[int, ...]] = []
     nodes = 0
 
-    def prune(i: int) -> bool:
-        unassigned_masks = [masks[v] >> i << i for v in range(n)]
-        for v in range(n):
-            nb = masks[v]
+    def feasible(i: int) -> bool:
+        for nb in masks:
             need = 0
-            bad = 0
-            for c in range(d):
-                in_c = (nb & class_masks[c]).bit_count()
+            for cm in classes:
+                in_c = (nb & cm).bit_count()
                 if in_c < k:
                     need += k - in_c
-                if restrained and in_c > deg[v] - k:
-                    if assign[v] == c:
-                        continue
-                    bad += 1
-            if need > unassigned_masks[v].bit_count():
-                return False
-            if bad and (assign[v] >= 0 or bad >= 2):
+            if need > (nb >> i).bit_count():
                 return False
         return True
 
@@ -295,23 +301,14 @@ def _domatic_search(g: Graph, masks: list[int], k: int, restrained: bool,
         if d - used > n - i:
             return False
         if i == n:
-            if used < d:
-                return False
-            sol = [[v for v in range(n) if assign[v] == c] for c in range(d)]
-            # final authoritative check against the predicates module
-            pred = is_ktrds if restrained else is_ktds
-            if all(pred(g, cls, k) for cls in sol):
-                solutions.append(sol)
-                return first_only
-            return False
-        limit = min(used + 1, d)
-        for c in range(limit):
-            assign[i] = c
-            class_masks[c] |= 1 << i
-            if prune(i + 1) and rec(i + 1, max(used, c + 1)):
+            solutions.append(tuple(classes))
+            return first_only
+        bit = 1 << i
+        for c in range(min(used + 1, d)):
+            classes[c] |= bit
+            if feasible(i + 1) and rec(i + 1, max(used, c + 1)):
                 return True
-            class_masks[c] &= ~(1 << i)
-            assign[i] = -1
+            classes[c] &= ~bit
         return False
 
     rec(0, 0)

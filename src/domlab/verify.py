@@ -576,4 +576,5 @@ def write_markdown(report: Report, fh, timings: bool = False) -> None:
     fh.write("| " + " | ".join(CSV_COLUMNS) + " |\n")
     fh.write("|" + "---|" * len(CSV_COLUMNS) + "\n")
     for row in report.rows:
-        fh.write("| " + " | ".join(row.csv_fields(timings)) + " |\n")
+        cells = (f.replace("|", "\\|") for f in row.csv_fields(timings))
+        fh.write("| " + " | ".join(cells) + " |\n")

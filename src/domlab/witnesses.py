@@ -25,11 +25,6 @@ class Witness:
     def vertices(self) -> frozenset[int]:
         return self.sets[0]
 
-    def serializable(self) -> dict:
-        """Sorted 1-based vertex lists plus the source tag."""
-        return {"source": self.source,
-                "sets": [sorted(v + 1 for v in s) for s in self.sets]}
-
 
 @dataclass(frozen=True)
 class WitnessReport:

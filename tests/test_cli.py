@@ -1,4 +1,5 @@
 import io
+import re
 import sys
 
 import pytest
@@ -110,3 +111,23 @@ def test_guard_env_ignored_by_verify_honoured_by_gamma(capsys, monkeypatch,
     code, _, err = run(["gamma", "--family", "cycle:12"], capsys)
     assert code == 1
     assert "DOMLAB_GUARD_N" in err
+
+
+def test_verify_markdown_rows_match_header(capsys, tmp_path):
+    out_file = tmp_path / "report.md"
+    code, _, _ = run(["verify-paper", "--sections", "complete", "--format",
+                      "markdown", "--out", str(out_file)], capsys)
+    assert code == 0
+    table = [ln for ln in out_file.read_text().splitlines()
+             if ln.startswith("|")]
+    # instance ids contain "|", which a cell must escape
+    widths = {len(re.split(r"(?<!\\)\|", ln)) for ln in table}
+    assert len(table) > 2 and widths == {len(re.split(r"\|", table[0]))}
+
+
+@pytest.mark.parametrize("flag", ["--oracle-random", "--property-random"])
+def test_verify_rejects_negative_random_count(capsys, flag):
+    code, _, err = run(["verify-paper", "--sections", "complete", flag, "-3"],
+                       capsys)
+    assert code == 1
+    assert f"argument {flag}" in err and "'-3'" in err

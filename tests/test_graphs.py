@@ -2,12 +2,10 @@ import io
 
 import pytest
 
-from domlab.graphs import (build_graph, cartesian_product, complement,
-                           complementary_prism, complementary_product,
+from domlab.graphs import (build_graph, complement, complementary_prism,
                            complete, complete_bipartite,
-                           complete_multipartite, corona_k1, cycle,
-                           induced_subgraph, k_join, path, read_edge_list,
-                           write_edge_list)
+                           complete_multipartite, corona_k1, cycle, k_join,
+                           path, read_edge_list, write_edge_list)
 
 
 def test_build_graph_rejects_self_loop():
@@ -74,8 +72,9 @@ def test_complementary_prism_shape():
     assert [g.degree(v) for v in range(4)] == [3, 3, 3, 3]
     assert [g.degree(v) for v in range(4, 8)] == [2, 2, 2, 2]
     # restricting to each half recovers the factor and its complement
-    assert induced_subgraph(g, range(4)).adj == cycle(4).adj
-    assert induced_subgraph(g, range(4, 8)).adj == complement(cycle(4)).adj
+    assert [(u, v) for u, v in g.edges() if v < 4] == cycle(4).edges()
+    assert [(u - 4, v - 4) for u, v in g.edges() if u >= 4] == \
+        complement(cycle(4)).edges()
     crossing = [(u, v) for u, v in g.edges() if u < 4 <= v]
     assert crossing == [(i, i + 4) for i in range(4)]
 
@@ -104,23 +103,6 @@ def test_k_join_default_assignment():
 def test_k_join_validates_assignment():
     with pytest.raises(ValueError, match="size"):
         k_join(path(2), complete(3), 2, assignment=[[0], [0, 1]])
-
-
-def test_complementary_product_matches_cartesian_when_full():
-    # with R = V(G) and S = V(H) no factor is complemented
-    for g in (path(3), cycle(4)):
-        for h in (complete(2), path(4)):
-            a = complementary_product(g, h, range(g.n), range(h.n))
-            b = cartesian_product(g, h)
-            assert a.adj == b.adj
-
-
-def test_complementary_product_empty_r_complements_rows():
-    g = path(2)
-    h = path(3)
-    prod = complementary_product(g, h, [], range(h.n))
-    # each row now carries complement(P3) = one edge between the endpoints
-    assert prod.has_edge(0, 2) and not prod.has_edge(0, 1)
 
 
 def test_edge_list_roundtrip():

@@ -2,6 +2,7 @@ from itertools import product
 
 import pytest
 
+from domlab.formulas import f_domatic_complete
 from domlab.graphs import (complement, complementary_prism, complete,
                            complete_bipartite, complete_multipartite, cycle,
                            path)
@@ -78,11 +79,42 @@ def test_enumerate_optimal_sets_cycle():
 
 
 def test_domatic_complete_graphs():
-    # floor(n/(k+1)) on complete graphs
+    # the paper's floor(n/(k+1)) on complete graphs, for both variants
     for n in range(2, 9):
         for k in range(1, n):
-            res = domatic_exact(DominationQuery(complete(n), k))
-            assert res.value == n // (k + 1) or (n // (k + 1) == 0 and res.value == 1)
+            want = f_domatic_complete(n, k).value
+            for variant in ("total", "restrained"):
+                res = domatic_exact(DominationQuery(complete(n), k, variant))
+                assert res.value == want, (n, k, variant)
+
+
+def _set_partitions(n):
+    """Every partition of range(n) into nonempty classes."""
+    if n == 0:
+        yield []
+        return
+    for part in _set_partitions(n - 1):
+        for i in range(len(part)):
+            yield part[:i] + [part[i] + [n - 1]] + part[i + 1:]
+        yield part + [[n - 1]]
+
+
+def test_domatic_matches_partition_scan():
+    # independent oracle: the largest partition the set-form predicates
+    # accept (0 when even V fails, as domatic_exact reports infeasible)
+    cases = 0
+    for n in range(1, 7):
+        partitions = list(_set_partitions(n))
+        for g in all_graphs(n):
+            for k in (1, 2):
+                for variant, pred in (("total", is_ktdp),
+                                      ("restrained", is_ktrdp)):
+                    want = max((len(p) for p in partitions
+                                if pred(g, p, k)), default=0)
+                    res = domatic_exact(DominationQuery(g, k, variant))
+                    assert res.value == want, (g.edges(), k, variant)
+                    cases += 1
+    assert cases == 832
 
 
 def test_domatic_certificate_is_valid_partition():

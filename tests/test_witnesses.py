@@ -70,13 +70,6 @@ def test_validate_reports_failing_vertex():
     assert rep.failures and "outside" in rep.failures[0]
 
 
-def test_witness_serializable_one_based():
-    w = witness_cycle_trds(8)
-    data = w.serializable()
-    assert data["sets"][0] == sorted(v + 1 for v in w.vertices)
-    assert min(data["sets"][0]) >= 1
-
-
 def test_preconditions():
     with pytest.raises(ValueError):
         witness_cycle_trds(3)
