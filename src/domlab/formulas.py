@@ -2,7 +2,9 @@
 
 Every operation returns a FormulaVerdict carrying an applicability flag and
 the matching case, instead of guessing outside its stated range. Fractional
-bounds stay exact rationals; callers compare through ceil/floor.
+bounds stay exact rationals; callers compare through ceil/floor. Each
+stated formula is written once: the four k = 1 prism statements (cycle and
+path, total and total-restrained) share f_prism_k1.
 """
 
 from __future__ import annotations
@@ -188,27 +190,9 @@ def f_domatic_caps(n: int, k: int, bipartite: bool = False) -> FormulaVerdict:
                           upper=Fraction(n, k + 1))
 
 
-def f_prism_cycle(n: int, k: int) -> FormulaVerdict:
-    """Restrained domination number of the prism of C_n (k in {1, 2})."""
-    if n < 4:
-        return _na(EXACT, f"needs n >= 4, got n={n}")
-    if k == 1:
-        base = 2 * math.ceil(n / 4)
-        r = n % 4
-        if r == 0:
-            return _exact(base + 2, "n = 0 (mod 4)")
-        if r == 3:
-            return _exact(base + 1, "n = 3 (mod 4)")
-        return _exact(base, "n = 1 or 2 (mod 4)")
-    if k == 2:
-        if n <= 5:
-            return _exact(2 * n, "n = 4 or 5: whole vertex set")
-        return _exact(n + 2, "n >= 6")
-    return _na(EXACT, f"stated for k in {{1, 2}}, got k={k}")
-
-
-def f_prism_path(n: int) -> FormulaVerdict:
-    """Restrained domination number (k = 1) of the prism of P_n."""
+def f_prism_k1(n: int) -> FormulaVerdict:
+    """k = 1 value stated for the prism of C_n and of P_n, in both the total
+    and the total-restrained variant (all four statements coincide)."""
     if n < 4:
         return _na(EXACT, f"needs n >= 4, got n={n}")
     base = 2 * math.ceil(n / 4)
@@ -218,6 +202,22 @@ def f_prism_path(n: int) -> FormulaVerdict:
     if r == 3:
         return _exact(base + 1, "n = 3 (mod 4)")
     return _exact(base, "n = 1 or 2 (mod 4)")
+
+
+def f_prism_cycle_k2(n: int) -> FormulaVerdict:
+    """Restrained domination number (k = 2) of the prism of C_n."""
+    if n < 4:
+        return _na(EXACT, f"needs n >= 4, got n={n}")
+    if n <= 5:
+        return _exact(2 * n, "n = 4 or 5: whole vertex set")
+    return _exact(n + 2, "n >= 6")
+
+
+def f_prism_cycle_k2_total(n: int) -> FormulaVerdict:
+    """Cited 2-tuple total domination number of the prism of C_n."""
+    if n < 5:
+        return _na(EXACT, f"needs n >= 5, got n={n}")
+    return _exact(n + 2, "n >= 5")
 
 
 def f_prism_regular_lb(n: int, ell: int, k: int) -> FormulaVerdict:
@@ -252,32 +252,3 @@ def f_kjoin_gamma(m: int, k: int) -> FormulaVerdict:
     if m < k + 1:
         return _na(EXACT, f"needs m >= k+1, got m={m}, k={k}")
     return _exact(m, "k-join construction with minimal clique order")
-
-
-def f_prelemma_prisms(n: int, which: str) -> FormulaVerdict:
-    """Known non-restrained prism values used as oracles.
-
-    which: "TCnCn" (total, cycle), "DCnCn" (2-tuple total, cycle),
-    "TPnPn" (total, path).
-    """
-    if which == "TCnCn":
-        if n < 4:
-            return _na(EXACT, f"needs n >= 4, got n={n}")
-        base = 2 * math.ceil(n / 4)
-        if n % 4 == 0:
-            return _exact(base + 2, "n = 0 (mod 4)")
-        if n % 4 == 3:
-            return _exact(base + 1, "n = 3 (mod 4)")
-        return _exact(base, "n = 1 or 2 (mod 4)")
-    if which == "DCnCn":
-        if n < 5:
-            return _na(EXACT, f"needs n >= 5, got n={n}")
-        return _exact(n + 2, "n >= 5")
-    if which == "TPnPn":
-        if n < 4:
-            return _na(EXACT, f"needs n >= 4, got n={n}")
-        base = 2 * math.ceil((n - 2) / 4)
-        if n % 4 == 3:
-            return _exact(base + 1, "n = 3 (mod 4)")
-        return _exact(base + 2, "n != 3 (mod 4)")
-    raise ValueError(f"unknown prelemma tag {which!r}")

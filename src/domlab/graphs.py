@@ -38,9 +38,6 @@ class Graph:
     def num_edges(self) -> int:
         return sum(len(a) for a in self.adj) // 2
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
-
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in sorted(self.adj[u]) if u < v]
 
@@ -59,9 +56,6 @@ class Graph:
             masks.append(m)
         return masks
 
-    def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(sorted(len(a) for a in self.adj))
-
 
 def _assemble(n: int, edge_set: set[tuple[int, int]],
               labels: tuple[str, ...] | None = None) -> Graph:
@@ -72,8 +66,7 @@ def _assemble(n: int, edge_set: set[tuple[int, int]],
     return Graph(n, tuple(frozenset(a) for a in adj), labels)
 
 
-def build_graph(n: int, edges: Iterable[tuple[int, int]],
-                labels: Sequence[str] | None = None) -> Graph:
+def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from an edge list; duplicate edges collapse.
 
     Raises ValueError naming the offending pair on self-loops or
@@ -88,10 +81,7 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]],
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"endpoint out of range 0..{n - 1}: ({u}, {v})")
         edge_set.add((min(u, v), max(u, v)))
-    lab = tuple(labels) if labels is not None else None
-    if lab is not None and len(lab) != n:
-        raise ValueError(f"expected {n} labels, got {len(lab)}")
-    return _assemble(n, edge_set, lab)
+    return _assemble(n, edge_set)
 
 
 def complete(n: int) -> Graph:
@@ -168,32 +158,18 @@ def corona_k1(g: Graph) -> Graph:
     return _assemble(2 * n, edge_set)
 
 
-def k_join(f: Graph, h: Graph, k: int,
-           assignment: Sequence[Iterable[int]] | None = None) -> Graph:
-    """Disjoint union of f and h plus edges from each f-vertex to >= k h-vertices.
+def k_join(f: Graph, h: Graph, k: int) -> Graph:
+    """Disjoint union of f and h plus an edge from every f-vertex to each of
+    the h-vertices 0..k-1 (H vertices are shifted by n(f)).
 
-    H vertices are shifted by n(f). The default assignment joins every
-    f-vertex to h-vertices 0..k-1.
+    Raises ValueError unless 1 <= k <= n(H).
     """
-    if h.n < k:
-        raise ValueError(f"k_join needs n(H) >= k, got n(H)={h.n}, k={k}")
-    if assignment is None:
-        assignment = [range(k)] * f.n
-    subsets = [set(a) for a in assignment]
-    if len(subsets) != f.n:
-        raise ValueError(f"assignment needs one subset per F vertex ({f.n})")
-    for i, sub in enumerate(subsets):
-        if len(sub) < k:
-            raise ValueError(f"assigned subset for F vertex {i} has size "
-                             f"{len(sub)} < k={k}")
-        if not sub <= set(range(h.n)):
-            raise ValueError(f"assigned subset for F vertex {i} not within V(H)")
+    if not 1 <= k <= h.n:
+        raise ValueError(f"k_join needs 1 <= k <= n(H), got n(H)={h.n}, k={k}")
     nf = f.n
     edge_set = set(f.edges())
     edge_set |= {(nf + u, nf + v) for u, v in h.edges()}
-    for i, sub in enumerate(subsets):
-        for j in sub:
-            edge_set.add((i, nf + j))
+    edge_set |= {(i, nf + j) for i in range(nf) for j in range(k)}
     return _assemble(nf + h.n, edge_set)
 
 

@@ -1,7 +1,8 @@
 """Desk-scale isomorphism tools: canonical codes and exhaustive graph lists.
 
-Brute-force permutation search with degree/refinement pruning; intended for
-n <= 12 (pairwise checks) and n <= 7 (exhaustive generation).
+Brute-force permutation search with degree/refinement pruning; two graphs
+are isomorphic iff their canonical codes are equal. all_graphs covers
+n <= 7.
 """
 
 from __future__ import annotations
@@ -9,8 +10,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .graphs import Graph, build_graph
-
-ISO_MAX_N = 12
 
 # number of non-isomorphic simple graphs on 1..7 vertices, used as a self-check
 GRAPH_COUNTS = (1, 2, 4, 11, 34, 156, 1044)
@@ -74,17 +73,6 @@ def canonical_code(g: Graph) -> tuple:
     rec(0, [], set(), [])
     assert best is not None
     return (n, tuple(best))
-
-
-def is_isomorphic(g: Graph, h: Graph) -> bool:
-    """Isomorphism test: cheap invariants, then equal canonical codes."""
-    if max(g.n, h.n) > ISO_MAX_N:
-        raise ValueError(f"isomorphism check supports n <= {ISO_MAX_N}")
-    if g.n != h.n or g.num_edges != h.num_edges:
-        return False
-    if g.degree_sequence() != h.degree_sequence():
-        return False
-    return canonical_code(g) == canonical_code(h)
 
 
 @lru_cache(maxsize=None)

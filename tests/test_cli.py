@@ -96,6 +96,23 @@ def test_verify_unknown_section(capsys):
     assert code == 1
 
 
+def test_verify_repeated_section(capsys, tmp_path):
+    out_file = tmp_path / "report.csv"
+    code, _, err = run(["verify-paper", "--sections", "complete", "cycles",
+                        "complete", "--out", str(out_file)], capsys)
+    assert code == 1
+    assert "repeated sections: ['complete']" in err
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_construct_kjoin_rejects_k_below_1(capsys, k):
+    code, out, err = run(["construct", f"kjoin:cycle:4:complete:2:k={k}"],
+                         capsys)
+    assert code == 1
+    assert out == "" and "1 <= k <= n(H)" in err
+
+
 def test_guard_env_ignored_by_verify_honoured_by_gamma(capsys, monkeypatch,
                                                       tmp_path):
     monkeypatch.setenv("DOMLAB_GUARD_N", "9")

@@ -1,7 +1,5 @@
 from fractions import Fraction
 
-import pytest
-
 from domlab import formulas as F
 
 
@@ -65,18 +63,19 @@ def test_domatic_formulas():
 
 
 def test_prism_cycle_formula():
-    assert F.f_prism_cycle(4, 1).value == 4
-    assert F.f_prism_cycle(7, 1).value == 5
-    assert F.f_prism_cycle(4, 2).value == 8
-    assert F.f_prism_cycle(5, 2).value == 10
-    assert F.f_prism_cycle(6, 2).value == 8
-    assert not F.f_prism_cycle(6, 3).applicable
+    assert F.f_prism_cycle_k2(4).value == 8
+    assert F.f_prism_cycle_k2(5).value == 10
+    assert F.f_prism_cycle_k2(6).value == 8
+    assert not F.f_prism_cycle_k2(3).applicable
 
 
 def test_prism_path_formula():
-    assert F.f_prism_path(5).value == 4
-    assert F.f_prism_path(7).value == 5
-    assert F.f_prism_path(8).value == 6  # as stated; solver refutes (see report)
+    assert F.f_prism_k1(4).value == 4
+    assert F.f_prism_k1(5).value == 4
+    assert F.f_prism_k1(6).value == 4
+    assert F.f_prism_k1(7).value == 5
+    assert F.f_prism_k1(8).value == 6  # as stated; solver refutes (see report)
+    assert not F.f_prism_k1(3).applicable
 
 
 def test_regular_window():
@@ -100,11 +99,9 @@ def test_kjoin():
 
 
 def test_prelemmas():
-    assert F.f_prelemma_prisms(5, "TCnCn").value == 4
-    assert F.f_prelemma_prisms(6, "DCnCn").value == 8
-    assert F.f_prelemma_prisms(7, "TPnPn").value == 5
-    with pytest.raises(ValueError):
-        F.f_prelemma_prisms(5, "nope")
+    assert F.f_prism_cycle_k2_total(6).value == 8
+    assert F.f_prism_cycle_k2_total(5).value == 7  # as stated; solver refutes
+    assert not F.f_prism_cycle_k2_total(4).applicable
 
 
 def test_render_and_brackets():

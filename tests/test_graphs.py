@@ -32,7 +32,7 @@ def test_complete_degrees():
 def test_cycle_structure():
     g = cycle(5)
     assert g.num_edges == 5
-    assert g.has_edge(0, 4)
+    assert 4 in g.adj[0]
     assert all(g.degree(v) == 2 for v in range(5))
     with pytest.raises(ValueError):
         cycle(2)
@@ -100,9 +100,10 @@ def test_k_join_default_assignment():
     assert g.degree(5) == 1
 
 
-def test_k_join_validates_assignment():
-    with pytest.raises(ValueError, match="size"):
-        k_join(path(2), complete(3), 2, assignment=[[0], [0, 1]])
+@pytest.mark.parametrize("k", [0, -1, 3])
+def test_k_join_rejects_k_outside_1_to_nh(k):
+    with pytest.raises(ValueError, match=r"1 <= k <= n\(H\)"):
+        k_join(path(2), complete(2), k)
 
 
 def test_edge_list_roundtrip():

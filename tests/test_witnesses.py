@@ -42,7 +42,7 @@ def test_complement_path_witness(n, k):
 def test_prism_path_witness(n):
     w = witness_prism_path_trds(n)
     g = complementary_prism(path(n))
-    rep = validate_witness(g, w, 1, F.f_prism_path(n).value)
+    rep = validate_witness(g, w, 1, F.f_prism_k1(n).value)
     assert rep.ok, rep.failures
 
 
@@ -53,7 +53,7 @@ KNOWN_BAD = {5}  # stated size-4 pair misses vertex 5-bar; see report allowlist
 def test_prism_cycle_domatic_pair(n):
     w = witness_prism_cycle_domatic_pair(n)
     g = complementary_prism(cycle(n))
-    rep = validate_witness(g, w, 1, F.f_prelemma_prisms(n, "TCnCn").value)
+    rep = validate_witness(g, w, 1, F.f_prism_k1(n).value)
     if n in KNOWN_BAD:
         assert not rep.ok
         assert any("5̄" in msg for msg in rep.failures)
