@@ -12,7 +12,7 @@ from .solver import (DominationQuery, Guards, GuardExceeded, SolveResult,
                      active_backend, domatic_exact, enumerate_domatic_partitions,
                      enumerate_optimal_sets, gamma_exact, gamma_naive, t0_exact)
 from .verify import Report, SweepConfig, run_sweep
-from .witnesses import Witness, WitnessReport, validate_witness
+from .witnesses import validate_witness
 
 __version__ = "0.1.0"
 
@@ -25,5 +25,5 @@ __all__ = [
     "GuardExceeded", "SolveResult", "active_backend", "domatic_exact",
     "enumerate_domatic_partitions", "enumerate_optimal_sets", "gamma_exact",
     "gamma_naive", "t0_exact", "Report", "SweepConfig", "run_sweep",
-    "Witness", "WitnessReport", "validate_witness", "__version__",
+    "validate_witness", "__version__",
 ]

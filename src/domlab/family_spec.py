@@ -24,7 +24,7 @@ def _int(token: str) -> int:
 
 def _int_list(token: str) -> list[int]:
     try:
-        return [int(t) for t in token.split(",") if t != ""]
+        return [int(t) for t in token.split(",")]
     except ValueError:
         raise FamilySpecError(
             f"expected comma-separated integers, got {token!r}") from None

@@ -191,13 +191,22 @@ def _int_pair(line: str, kind: str) -> tuple[int, int]:
 
 
 def read_edge_list(fh) -> Graph:
-    """Parse the text edge-list format; '#' starts a comment line."""
+    """Parse the text edge-list format; '#' starts a comment line. An edge
+    listed twice, in either orientation, is an error naming its line."""
     lines = [ln.strip() for ln in fh
              if ln.strip() and not ln.strip().startswith("#")]
     if not lines:
         raise ValueError("empty edge-list input")
     n, m = _int_pair(lines[0], "header")
-    edges = [_int_pair(ln, "edge") for ln in lines[1:]]
+    edges = []
+    seen: set[tuple[int, int]] = set()
+    for ln in lines[1:]:
+        u, v = _int_pair(ln, "edge")
+        pair = (min(u, v), max(u, v))
+        if pair in seen:
+            raise ValueError(f"repeated edge line: {ln!r}")
+        seen.add(pair)
+        edges.append((u, v))
     if len(edges) != m:
         raise ValueError(f"header promises {m} edges, found {len(edges)}")
     return build_graph(n, edges)

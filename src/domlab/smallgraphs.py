@@ -11,9 +11,6 @@ from functools import lru_cache
 
 from .graphs import Graph, build_graph
 
-# number of non-isomorphic simple graphs on 1..7 vertices, used as a self-check
-GRAPH_COUNTS = (1, 2, 4, 11, 34, 156, 1044)
-
 
 def _refine_colors(g: Graph) -> list[int]:
     """Iterated neighbor-color refinement; returns a stable color per vertex."""

@@ -1,6 +1,6 @@
 """Exact solvers: domination numbers, domatic numbers, multipartite t0.
 
-gamma_exact runs the branch-and-bound kernel in _gamma_py. gamma_naive is the
+gamma_exact runs the branch-and-bound kernel _gamma_search. gamma_naive is the
 independent oracle: an unpruned scan of subset_masks with
 predicates.mask_is_ktds that shares nothing with the kernel except the
 predicates module. subset_masks is the one exhaustive subset loop; it also
@@ -13,12 +13,10 @@ variants and re-check each partition it returns with is_ktrdp or is_ktdp.
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterator, Sequence
 
-from . import _gamma_py
 from .graphs import Graph
 from .predicates import is_ktdp, is_ktds, is_ktrdp, is_ktrds, mask_is_ktds
 
@@ -28,7 +26,7 @@ VARIANT_RESTRAINED = "total-restrained"
 
 def active_backend() -> str:
     """Name of the kernel gamma_exact uses."""
-    return _gamma_py.BACKEND_NAME
+    return "pure-python"
 
 
 def normalize_variant(variant: str) -> str:
@@ -63,13 +61,10 @@ class SolveResult:
     value: int | None
     certificate: object  # frozenset, tuple of frozensets, or None
     nodes_explored: int = 0
-    elapsed: float = 0.0
 
 
 @dataclass(frozen=True)
 class MultipartiteAnalysis:
-    parts: tuple[int, ...]
-    k: int
     t0: int
     gamma_value: int
 
@@ -130,16 +125,14 @@ def _vertices(mask: int, n: int) -> frozenset[int]:
 
 def gamma_exact(q: DominationQuery,
                 guards: Guards = DEFAULT_GUARDS) -> SolveResult:
-    """Minimum kTDS/kTRDS size via the pruned search kernel."""
+    """Minimum kTDS/kTRDS size via the pruned search (_gamma_search)."""
     g = q.graph
     _guard(g.n, guards, "gamma_n", "gamma_exact")
-    t0 = time.perf_counter()
-    value, cert_mask, nodes = _gamma_py.solve_gamma(g.n, q.k, q.restrained,
-                                                    g.neighbor_masks())
-    elapsed = time.perf_counter() - t0
-    if value < 0:
-        return SolveResult(False, None, None, nodes, elapsed)
-    return SolveResult(True, value, _vertices(cert_mask, g.n), nodes, elapsed)
+    if g.n == 0 or g.min_degree < q.k:
+        return SolveResult(False, None, None)
+    value, cert_mask, nodes = _gamma_search(g.neighbor_masks(), q.k,
+                                            q.restrained)
+    return SolveResult(True, value, _vertices(cert_mask, g.n), nodes)
 
 
 def gamma_naive(q: DominationQuery,
@@ -153,8 +146,7 @@ def gamma_naive(q: DominationQuery,
     g = q.graph
     _guard(g.n, guards, "naive_n", "gamma_naive")
     if g.n == 0 or g.min_degree < q.k:
-        return SolveResult(False, None, None, 0, 0.0)
-    t0 = time.perf_counter()
+        return SolveResult(False, None, None)
     masks = g.neighbor_masks()
     for checked, smask in enumerate(subset_masks(g.n), 1):
         if mask_is_ktds(masks, smask, q.k, q.restrained):
@@ -163,8 +155,7 @@ def gamma_naive(q: DominationQuery,
     if not (is_ktrds if q.restrained else is_ktds)(g, cert, q.k):
         raise RuntimeError(f"gamma_naive: {sorted(cert)} passes the bitmask "
                            "predicate but not the set form")
-    return SolveResult(True, len(cert), cert, checked,
-                       time.perf_counter() - t0)
+    return SolveResult(True, len(cert), cert, checked)
 
 
 def enumerate_optimal_sets(q: DominationQuery,
@@ -214,7 +205,7 @@ def t0_exact(parts: Sequence[int], k: int,
         t = sum(c < p for c, p in zip(counts, parts))
         if t and (not t0 or t < t0):
             t0 = t
-    return MultipartiteAnalysis(tuple(parts), k, t0, gamma)
+    return MultipartiteAnalysis(t0, gamma)
 
 
 def domatic_exact(q: DominationQuery,
@@ -228,9 +219,8 @@ def domatic_exact(q: DominationQuery,
     """
     g = q.graph
     _guard(g.n, guards, "domatic_n", "domatic_exact")
-    t_start = time.perf_counter()
     if g.n == 0 or g.min_degree < q.k:
-        return SolveResult(False, 0, None, 0, time.perf_counter() - t_start)
+        return SolveResult(False, 0, None)
     masks = g.neighbor_masks()
     cap = min(g.n // (q.k + 1), g.min_degree // q.k)
     nodes = 0
@@ -238,10 +228,8 @@ def domatic_exact(q: DominationQuery,
         found, searched = _domatic_search(masks, q.k, d, first_only=True)
         nodes += searched
         if found:
-            return SolveResult(True, d, _partition(q, found[0]), nodes,
-                               time.perf_counter() - t_start)
-    return SolveResult(True, 1, _partition(q, ((1 << g.n) - 1,)), nodes,
-                       time.perf_counter() - t_start)
+            return SolveResult(True, d, _partition(q, found[0]), nodes)
+    return SolveResult(True, 1, _partition(q, ((1 << g.n) - 1,)), nodes)
 
 
 def enumerate_domatic_partitions(q: DominationQuery, d: int,
@@ -266,6 +254,72 @@ def _partition(q: DominationQuery,
         raise RuntimeError(f"domatic search: {[sorted(c) for c in part]} is "
                            f"not a {'kTRDP' if q.restrained else 'kTDP'}")
     return part
+
+
+def _gamma_search(masks: list[int], k: int,
+                  restrained: bool) -> tuple[int, int, int]:
+    """Minimum size of a kTDS (kTRDS when restrained) over the adjacency
+    bitmasks; returns (value, certificate mask, nodes). The caller ensures
+    n >= 1 and minimum degree >= k.
+
+    Iterative deepening over the target cardinality with depth-first in/out
+    branching in fixed vertex order (include-first, so the first hit is the
+    lexicographically smallest optimal set). Pruning:
+
+      * low-degree necessity: in the restrained variant a vertex of degree
+        <= 2k-1 belongs to every solution and is preseeded;
+      * per-vertex deficiency vs. remaining budget and undecided neighbors;
+      * decided-out vertices must retain k potential outside neighbors.
+
+    Leaves are checked with predicates.mask_is_ktds. gamma_naive is the
+    independent oracle this search is tested against.
+    """
+    n = len(masks)
+    full = (1 << n) - 1
+    deg = [nb.bit_count() for nb in masks]
+
+    forced = 0
+    if restrained:
+        for v in range(n):
+            if deg[v] <= 2 * k - 1:
+                forced |= 1 << v
+
+    nodes = 0
+
+    def dfs(i: int, in_mask: int, out_mask: int, cnt_in: int, s: int) -> int:
+        nonlocal nodes
+        nodes += 1
+        budget = s - cnt_in
+        rest = n - i
+        if budget == 0:
+            return in_mask if mask_is_ktds(masks, in_mask, k, restrained) else -1
+        undecided = full & ~((1 << i) - 1)
+        if budget == rest:
+            cand = in_mask | undecided
+            return cand if mask_is_ktds(masks, cand, k, restrained) else -1
+        for v in range(n):
+            nb = masks[v]
+            in_nb = (nb & in_mask).bit_count()
+            if in_nb < k:
+                if in_nb + (nb & undecided).bit_count() < k:
+                    return -1
+                if k - in_nb > budget:
+                    return -1
+            if restrained and (out_mask >> v) & 1 and deg[v] - in_nb < k:
+                return -1
+        bit = 1 << i
+        r = dfs(i + 1, in_mask | bit, out_mask, cnt_in + 1, s)
+        if r >= 0:
+            return r
+        if forced & bit:
+            return -1
+        return dfs(i + 1, in_mask, out_mask | bit, cnt_in, s)
+
+    # s = n always hits: with min degree >= k, V is a kTDS and a kTRDS
+    s = max(k + 1, forced.bit_count())
+    while (r := dfs(0, 0, 0, 0, s)) < 0:
+        s += 1
+    return (s, r, nodes)
 
 
 def _domatic_search(masks: list[int], k: int, d: int,

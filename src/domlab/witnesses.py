@@ -1,43 +1,17 @@
 """Explicit witness sets extracted from proof constructions.
 
-Each builder returns the exact set a proof exhibits for the matching
-parameter case. Validation never asserts: discrepancies come back as data so
-the report layer can flag them.
+Each builder returns the exact sets a proof exhibits for the matching
+parameter case, as a tuple of one or two frozensets (0-based; a prism's
+i-bar is vertex n+i-1). Validation never asserts: discrepancies come back
+as data so the report layer can flag them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .graphs import Graph
 from .predicates import ktds_failures, ktrds_failures
-
-
-@dataclass(frozen=True)
-class Witness:
-    """One or two vertex sets (0-based; a prism's i-bar is vertex n+i-1)."""
-
-    sets: tuple[frozenset[int], ...]
-    source: str
-
-    @property
-    def vertices(self) -> frozenset[int]:
-        return self.sets[0]
-
-
-@dataclass(frozen=True)
-class WitnessReport:
-    source: str
-    valid: bool
-    size_ok: bool
-    expected_size: int | None
-    actual_sizes: tuple[int, ...]
-    failures: tuple[str, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return self.valid and self.size_ok
 
 
 def _one_based(vertices) -> frozenset[int]:
@@ -49,7 +23,7 @@ def _bars(n: int, vertices) -> frozenset[int]:
     return frozenset(n + v - 1 for v in vertices)
 
 
-def witness_cycle_trds(n: int) -> Witness:
+def witness_cycle_trds(n: int) -> tuple[frozenset[int]]:
     """Total restrained dominating set of C_n, by residue of n mod 4."""
     if n < 4:
         raise ValueError("witness_cycle_trds needs n >= 4")
@@ -63,10 +37,10 @@ def witness_cycle_trds(n: int) -> Witness:
         s = s0 | {1, n - 2}
     else:
         s = s0 | {1, n - 3, n}
-    return Witness((_one_based(s),), f"cycle-trds:n={n}")
+    return (_one_based(s),)
 
 
-def witness_complement_cycle(n: int, k: int) -> Witness:
+def witness_complement_cycle(n: int, k: int) -> tuple[frozenset[int]]:
     """kTRDS of the complement of C_n, by the three cardinality cases."""
     if not (n >= k + 3 >= 4):
         raise ValueError("witness_complement_cycle needs n >= k+3 >= 4")
@@ -76,10 +50,10 @@ def witness_complement_cycle(n: int, k: int) -> Witness:
         s = {2 * i + 1 for i in range(k + 2)}
     else:
         s = set(range(1, n + 1))
-    return Witness((_one_based(s),), f"complement-cycle:n={n},k={k}")
+    return (_one_based(s),)
 
 
-def witness_complement_path(n: int, k: int) -> Witness:
+def witness_complement_path(n: int, k: int) -> tuple[frozenset[int]]:
     """kTRDS of the complement of P_n.
 
     For k = 1 the value-2 case uses the endpoint pair {1, n} (at n = 5 the
@@ -102,10 +76,11 @@ def witness_complement_path(n: int, k: int) -> Witness:
         s = {2 * i + 1 for i in range(k + 2)}
     else:
         s = set(range(1, n + 1))
-    return Witness((_one_based(s),), f"complement-path:n={n},k={k}")
+    return (_one_based(s),)
 
 
-def witness_prism_cycle_domatic_pair(n: int) -> Witness:
+def witness_prism_cycle_domatic_pair(
+        n: int) -> tuple[frozenset[int], frozenset[int]]:
     """Two disjoint total dominating sets of the prism of C_n, by residue.
 
     The n > 7 case of the source construction is validated, not trusted; the
@@ -154,10 +129,10 @@ def witness_prism_cycle_domatic_pair(n: int) -> Witness:
             plain_t |= blocks(9, math.ceil(n / 4) - 2)
     first = _one_based(plain_s) | _bars(n, bar_s)
     second = _one_based(plain_t) | _bars(n, bar_t)
-    return Witness((first, second), f"prism-cycle-domatic-pair:n={n}")
+    return (first, second)
 
 
-def witness_prism_path_trds(n: int) -> Witness:
+def witness_prism_path_trds(n: int) -> tuple[frozenset[int]]:
     """Total restrained dominating set of the prism of P_n, by residue.
 
     The n = 0 (mod 4) construction starts at n = 8; there is no stated set
@@ -184,28 +159,22 @@ def witness_prism_path_trds(n: int) -> Witness:
         plain = run(n // 4)
         bar = {1, n - 1, n}
     s = _one_based(plain) | _bars(n, bar)
-    return Witness((s,), f"prism-path-trds:n={n}")
+    return (s,)
 
 
-def validate_witness(g: Graph, w: Witness, k: int,
-                     expected_size: int | None) -> WitnessReport:
-    """Check a witness against its predicate; failures are data, never raises.
+def validate_witness(g: Graph, w: tuple[frozenset[int], ...],
+                     k: int) -> list[str]:
+    """Failures of a witness against its predicate; never raises.
 
-    Single sets are checked as kTRDS; pairs are checked as two disjoint kTDS
-    (the domatic-pair shape).
+    A single set is checked as a kTRDS; a pair as two disjoint kTDS (the
+    domatic-pair shape).
     """
-    if len(w.sets) == 1:
-        failures = ktrds_failures(g, w.vertices, k)
-    else:
-        a, b = w.sets
-        failures = []
-        if a & b:
-            failures.append(f"sets overlap on {sorted(v + 1 for v in a & b)}")
-        for tag, s in (("S", a), ("S'", b)):
-            failures.extend(f"{tag}: {msg}" for msg in ktds_failures(g, s, k))
-    size_ok = expected_size is None or \
-        all(len(s) == expected_size for s in w.sets)
-    return WitnessReport(source=w.source, valid=not failures, size_ok=size_ok,
-                         expected_size=expected_size,
-                         actual_sizes=tuple(len(s) for s in w.sets),
-                         failures=tuple(failures))
+    if len(w) == 1:
+        return ktrds_failures(g, w[0], k)
+    a, b = w
+    failures = []
+    if a & b:
+        failures.append(f"sets overlap on {sorted(v + 1 for v in a & b)}")
+    for tag, s in (("S", a), ("S'", b)):
+        failures.extend(f"{tag}: {msg}" for msg in ktds_failures(g, s, k))
+    return failures

@@ -64,6 +64,14 @@ def test_gamma_stdin(capsys, monkeypatch):
     assert code == 0 and "gamma = 2" in out
 
 
+@pytest.mark.parametrize("spec", ["kpartite:2,,2", "bipartite:3,3,",
+                                  "kpartite:,2,2,2"])
+def test_construct_empty_list_item_exit_1(capsys, spec):
+    code, out, err = run(["construct", spec], capsys)
+    assert code == 1 and out == ""
+    assert repr(spec.split(":")[1]) in err
+
+
 def test_naive_flag_matches_kernel(capsys):
     code1, out1, _ = run(["gamma", "--family", "cycle:9"], capsys)
     code2, out2, _ = run(["gamma", "--family", "cycle:9", "--naive"], capsys)

@@ -26,7 +26,8 @@ def test_kjoin_spec():
 
 @pytest.mark.parametrize("bad", [
     "unknown:4", "cycle", "cycle:x", "bipartite:2", "kjoin:cycle:4:complete:2",
-    "cycle:5:extra", "prism",
+    "cycle:5:extra", "prism", "kpartite:2,,2", "bipartite:3,3,",
+    "kpartite:,2,2,2",
 ])
 def test_bad_specs_raise(bad):
     with pytest.raises(FamilySpecError):

@@ -81,7 +81,7 @@ def test_prism_path_formula():
 def test_regular_window():
     assert F.f_prism_regular_lb(5, 2, 2).value == 10  # n <= ell+2k-1
     lb = F.f_prism_regular_lb(8, 2, 2)
-    assert lb.kind == F.LOWER and lb.lower_int == 10
+    assert lb.render() == ">=10" and lb.lower_int == 10
     assert not F.f_prism_regular_lb(8, 3, 2).applicable
 
 
@@ -90,7 +90,7 @@ def test_sandwich():
     assert v.lower_int == 6 and v.upper_int == 12
     assert v.brackets(8)
     k1 = F.f_prism_sandwich(0, 0, 3, 4, 1)
-    assert k1.kind == F.UPPER and k1.upper_int == 7
+    assert k1.render() == "<=7" and k1.upper_int == 7
 
 
 def test_kjoin():

@@ -127,6 +127,7 @@ def test_read_edge_list_comments_and_errors():
     ("3\n", "bad header line: '3'"),
     ("3 1\n0 a\n", "bad edge line: '0 a'"),
     ("3 1\n0 1 2\n", "bad edge line: '0 1 2'"),
+    ("3 2\n0 1\n1 0\n", "repeated edge line: '1 0'"),
 ])
 def test_read_edge_list_names_bad_line(text, message):
     with pytest.raises(ValueError) as exc:

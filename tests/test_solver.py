@@ -9,7 +9,8 @@ from domlab.graphs import (complement, complementary_prism, complete,
 from domlab.predicates import (is_ktdp, is_ktds, is_ktrdp, is_ktrds,
                                mask_is_ktds)
 from domlab.smallgraphs import all_graphs
-from domlab.solver import (DominationQuery, Guards, GuardExceeded,
+from domlab.solver import (VARIANT_RESTRAINED, VARIANT_TOTAL,
+                           DominationQuery, Guards, GuardExceeded,
                            active_backend, domatic_exact,
                            enumerate_domatic_partitions,
                            enumerate_optimal_sets, gamma_exact, gamma_naive,
@@ -45,6 +46,56 @@ def test_certificate_is_lex_smallest():
     g = complete(6)
     res = gamma_exact(DominationQuery(g, 1))
     assert sorted(res.certificate) == [0, 1]
+
+
+# gamma_exact's node count and certificate on the prisms of C_n and P_n,
+# n = 6..9 (variant t = total, r = total-restrained); 50,741 nodes in all.
+# A kernel change that moves these updates the table and says so.
+PRISM_SEARCH_PINS = {
+    ("cycle", 6, 1, "t"): (365, (0, 3, 6, 9)),
+    ("cycle", 6, 1, "r"): (365, (0, 3, 6, 9)),
+    ("cycle", 6, 2, "t"): (402, (0, 1, 2, 3, 4, 5, 6, 9)),
+    ("cycle", 6, 2, "r"): (32, (0, 1, 2, 3, 4, 5, 6, 9)),
+    ("cycle", 7, 1, "t"): (1173, (0, 1, 4, 7, 11)),
+    ("cycle", 7, 1, "r"): (1169, (0, 1, 4, 7, 11)),
+    ("cycle", 7, 2, "t"): (902, (0, 1, 2, 3, 4, 5, 6, 7, 10)),
+    ("cycle", 7, 2, "r"): (37, (0, 1, 2, 3, 4, 5, 6, 7, 10)),
+    ("cycle", 8, 1, "t"): (3825, (0, 1, 2, 4, 5, 9)),
+    ("cycle", 8, 1, "r"): (3791, (0, 1, 2, 4, 5, 9)),
+    ("cycle", 8, 2, "t"): (1876, (0, 1, 2, 3, 4, 5, 6, 7, 8, 11)),
+    ("cycle", 8, 2, "r"): (42, (0, 1, 2, 3, 4, 5, 6, 7, 8, 11)),
+    ("cycle", 9, 1, "t"): (5399, (0, 1, 2, 5, 6, 10)),
+    ("cycle", 9, 1, "r"): (5361, (0, 1, 2, 5, 6, 10)),
+    ("cycle", 9, 2, "t"): (3614, (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 12)),
+    ("cycle", 9, 2, "r"): (47, (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 12)),
+    ("path", 6, 1, "t"): (475, (1, 4, 7, 10)),
+    ("path", 6, 1, "r"): (461, (1, 4, 7, 10)),
+    ("path", 6, 2, "t"): (211, (0, 1, 2, 3, 4, 5, 6, 11)),
+    ("path", 6, 2, "r"): (100, (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)),
+    ("path", 7, 1, "t"): (1051, (0, 1, 4, 5, 7)),
+    ("path", 7, 1, "r"): (1025, (0, 1, 4, 5, 7)),
+    ("path", 7, 2, "t"): (435, (0, 1, 2, 3, 4, 5, 6, 7, 13)),
+    ("path", 7, 2, "r"): (36, (0, 1, 2, 3, 4, 5, 6, 7, 13)),
+    ("path", 8, 1, "t"): (2564, (1, 4, 5, 9, 15)),
+    ("path", 8, 1, "r"): (2448, (1, 4, 5, 9, 15)),
+    ("path", 8, 2, "t"): (799, (0, 1, 2, 3, 4, 5, 6, 7, 8, 15)),
+    ("path", 8, 2, "r"): (41, (0, 1, 2, 3, 4, 5, 6, 7, 8, 15)),
+    ("path", 9, 1, "t"): (5701, (0, 1, 4, 7, 13, 16)),
+    ("path", 9, 1, "r"): (5485, (0, 1, 4, 7, 13, 16)),
+    ("path", 9, 2, "t"): (1463, (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 17)),
+    ("path", 9, 2, "r"): (46, (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 17)),
+}
+
+
+def test_gamma_exact_prism_node_counts_pinned():
+    got = {}
+    for fam, n, k, v in PRISM_SEARCH_PINS:
+        g = complementary_prism((cycle if fam == "cycle" else path)(n))
+        variant = VARIANT_RESTRAINED if v == "r" else VARIANT_TOTAL
+        res = gamma_exact(DominationQuery(g, k, variant))
+        got[fam, n, k, v] = (res.nodes_explored, tuple(sorted(res.certificate)))
+    assert got == PRISM_SEARCH_PINS
+    assert sum(nodes for nodes, _ in got.values()) == 50741
 
 
 def test_naive_oracle_agrees_on_small_graphs():
