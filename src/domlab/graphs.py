@@ -137,11 +137,8 @@ def complementary_prism(g: Graph) -> Graph:
     vertex i is matched to n+i. Labels follow the "i" / "i-bar" convention.
     """
     n = g.n
-    edge_set = {(u, v) for u, v in g.edges()}
-    for u in range(n):
-        for v in range(u + 1, n):
-            if v not in g.adj[u]:
-                edge_set.add((n + u, n + v))
+    edge_set = set(g.edges())
+    edge_set |= {(n + u, n + v) for u, v in complement(g).edges()}
     for i in range(n):
         edge_set.add((i, n + i))
     labels = tuple(str(i + 1) for i in range(n)) + \

@@ -4,8 +4,8 @@ gamma_exact runs the branch-and-bound kernel _gamma_search. gamma_naive is the
 independent oracle: an unpruned scan of subset_masks with
 predicates.mask_is_ktds that shares nothing with the kernel except the
 predicates module. subset_masks is the one exhaustive subset loop; it also
-drives enumerate_optimal_sets and the sweep's property suite. t0_exact scans
-per-part counts instead of subsets. domatic_exact and
+drives enumerate_optimal_sets and the sweep's property suite. t0_exact tests
+one set per vector of part counts, with the same predicate. domatic_exact and
 enumerate_domatic_partitions share one class-assignment search for both
 variants and re-check each partition it returns with is_ktrdp or is_ktdp.
 """
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterator, Sequence
 
-from .graphs import Graph
+from .graphs import Graph, complete_multipartite
 from .predicates import is_ktdp, is_ktds, is_ktrdp, is_ktrds, mask_is_ktds
 
 VARIANT_TOTAL = "total"
@@ -71,13 +71,15 @@ class MultipartiteAnalysis:
 
 @dataclass(frozen=True)
 class Guards:
-    """Instance-size caps; desk scale varies by machine, so these are config."""
+    """Instance-size caps, one per search; desk scale varies by machine, so
+    these are config. gamma_n caps the kernel (gamma_exact), naive_n every
+    exhaustive scan (gamma_naive, enumerate_optimal_sets, t0_exact) and
+    domatic_n the domatic search (domatic_exact,
+    enumerate_domatic_partitions)."""
 
     naive_n: int = 24
     gamma_n: int = 20
-    enumerate_n: int = 16
     domatic_n: int = 14
-    t0_total: int = 14
 
     @classmethod
     def from_env(cls) -> "Guards":
@@ -91,8 +93,7 @@ class Guards:
         if v < 1:
             raise ValueError("DOMLAB_GUARD_N must be an integer >= 1, got "
                              f"{override!r}")
-        return cls(naive_n=v, gamma_n=v, enumerate_n=v, domatic_n=v,
-                   t0_total=v)
+        return cls(naive_n=v, gamma_n=v, domatic_n=v)
 
 
 DEFAULT_GUARDS = Guards()
@@ -128,7 +129,7 @@ def gamma_exact(q: DominationQuery,
     """Minimum kTDS/kTRDS size via the pruned search (_gamma_search)."""
     g = q.graph
     _guard(g.n, guards, "gamma_n", "gamma_exact")
-    if g.n == 0 or g.min_degree < q.k:
+    if g.min_degree < q.k:
         return SolveResult(False, None, None)
     value, cert_mask, nodes = _gamma_search(g.neighbor_masks(), q.k,
                                             q.restrained)
@@ -145,14 +146,15 @@ def gamma_naive(q: DominationQuery,
     """
     g = q.graph
     _guard(g.n, guards, "naive_n", "gamma_naive")
-    if g.n == 0 or g.min_degree < q.k:
+    if g.min_degree < q.k:
         return SolveResult(False, None, None)
     masks = g.neighbor_masks()
+    k, restrained = q.k, q.restrained
     for checked, smask in enumerate(subset_masks(g.n), 1):
-        if mask_is_ktds(masks, smask, q.k, q.restrained):
+        if mask_is_ktds(masks, smask, k, restrained):
             break
     cert = _vertices(smask, g.n)
-    if not (is_ktrds if q.restrained else is_ktds)(g, cert, q.k):
+    if not (is_ktrds if restrained else is_ktds)(g, cert, k):
         raise RuntimeError(f"gamma_naive: {sorted(cert)} passes the bitmask "
                            "predicate but not the set form")
     return SolveResult(True, len(cert), cert, checked)
@@ -162,15 +164,16 @@ def enumerate_optimal_sets(q: DominationQuery,
                            guards: Guards = DEFAULT_GUARDS) -> list[frozenset[int]]:
     """All minimum-cardinality sets for the variant (empty if infeasible)."""
     g = q.graph
-    _guard(g.n, guards, "enumerate_n", "enumerate_optimal_sets")
-    if g.n == 0 or g.min_degree < q.k:
+    _guard(g.n, guards, "naive_n", "enumerate_optimal_sets")
+    if g.min_degree < q.k:
         return []
     masks = g.neighbor_masks()
+    k, restrained = q.k, q.restrained
     hits: list[int] = []
     for smask in subset_masks(g.n):
         if hits and smask.bit_count() > hits[0].bit_count():
             break
-        if mask_is_ktds(masks, smask, q.k, q.restrained):
+        if mask_is_ktds(masks, smask, k, restrained):
             hits.append(smask)
     return [_vertices(m, g.n) for m in hits]
 
@@ -179,29 +182,27 @@ def t0_exact(parts: Sequence[int], k: int,
              guards: Guards = DEFAULT_GUARDS) -> MultipartiteAnalysis:
     """Scan every kTRDS of the complete multipartite graph K_parts.
 
-    Whether S is a kTRDS depends only on the counts c_i = |S ∩ part i|: a
-    vertex of part i has |S| - c_i neighbours in S and, if it lies outside S,
-    (n - |S|) - (n_i - c_i) neighbours outside S. So the scan runs over the
-    prod(n_i + 1) count vectors, not the 2^n subsets. t(S) counts parts not
-    fully inside S; t0 is its minimum over proper kTRDS (the full vertex set
-    always has t = 0, so t0 = 0 exactly when no proper kTRDS exists, i.e.
+    Vertices of one part are twins, so whether S is a kTRDS depends only on
+    the counts c_i = |S ∩ part i|. The scan tests one set per count vector,
+    the first c_i vertices of each part, with mask_is_ktds. t(S) counts parts
+    not fully inside S; t0 is its minimum over proper kTRDS (the full vertex
+    set always has t = 0, so t0 = 0 exactly when no proper kTRDS exists, i.e.
     gamma equals n).
     """
-    n = sum(parts)
-    _guard(n, guards, "t0_total", "t0_exact")
-    if not parts or min(parts) < 1:
-        raise ValueError(f"part sizes must be positive, got {list(parts)}")
-    if n - max(parts) < k:
-        raise ValueError(f"K_{tuple(parts)} has min degree {n - max(parts)} "
+    _guard(sum(parts), guards, "naive_n", "t0_exact")
+    g = complete_multipartite(parts)
+    if g.min_degree < k:
+        raise ValueError(f"K_{tuple(parts)} has min degree {g.min_degree} "
                          f"< k={k}")
-    gamma = n
+    masks = g.neighbor_masks()
+    starts = [sum(parts[:i]) for i in range(len(parts))]
+    gamma = g.n
     t0 = 0
     for counts in product(*(range(p + 1) for p in parts)):
-        size = sum(counts)
-        if not all(size - c >= k and (c == p or n - size - (p - c) >= k)
-                   for c, p in zip(counts, parts)):
+        smask = sum(((1 << c) - 1) << a for c, a in zip(counts, starts))
+        if not mask_is_ktds(masks, smask, k, True):
             continue
-        gamma = min(gamma, size)
+        gamma = min(gamma, sum(counts))
         t = sum(c < p for c, p in zip(counts, parts))
         if t and (not t0 or t < t0):
             t0 = t
@@ -219,7 +220,7 @@ def domatic_exact(q: DominationQuery,
     """
     g = q.graph
     _guard(g.n, guards, "domatic_n", "domatic_exact")
-    if g.n == 0 or g.min_degree < q.k:
+    if g.min_degree < q.k:
         return SolveResult(False, 0, None)
     masks = g.neighbor_masks()
     cap = min(g.n // (q.k + 1), g.min_degree // q.k)
@@ -239,7 +240,7 @@ def enumerate_domatic_partitions(q: DominationQuery, d: int,
     (classes in first-use order, so label permutations are deduplicated)."""
     g = q.graph
     _guard(g.n, guards, "domatic_n", "enumerate_domatic_partitions")
-    if g.n == 0 or g.min_degree < q.k or d < 1:
+    if g.min_degree < q.k:
         return []
     found, _ = _domatic_search(g.neighbor_masks(), q.k, d, first_only=False)
     return [_partition(q, classes) for classes in found]

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 from . import formulas
 from .family_spec import family_graph
@@ -164,24 +165,13 @@ def check_bipartite() -> list[Row]:
     return rows
 
 
-def _part_lists(p: int, total_max: int):
-    """Nonincreasing part-size lists with exactly p parts and sum <= total_max."""
-    def rec(remaining, parts, cap):
-        if len(parts) == p:
-            if remaining >= 0:
-                yield tuple(parts)
-            return
-        slots_left = p - len(parts)
-        for s in range(min(cap, remaining - (slots_left - 1)), 0, -1):
-            yield from rec(remaining - s, parts + [s], s)
-    yield from rec(total_max, [], total_max)
-
-
 def check_multipartite() -> list[Row]:
     rows = []
     for p in (3, 4):
-        for parts in _part_lists(p, 12):
+        for parts in combinations_with_replacement(range(12, 0, -1), p):
             n = sum(parts)
+            if n > 12:
+                continue
             g = family_graph("kpartite:" + ",".join(map(str, parts)))
             fam = "kpartite:" + ",".join(map(str, parts))
             for k in range(1, 4):
@@ -209,9 +199,12 @@ def check_multipartite() -> list[Row]:
 
 def check_prisms() -> list[Row]:
     rows = []
+    graphs = {}
     for n in range(4, 9):
         cg = complementary_prism(cycle(n))
         pg = complementary_prism(family_graph(f"path:{n}"))
+        graphs[f"prism:cycle:{n}"] = cg
+        graphs[f"prism:path:{n}"] = pg
         k1 = formulas.f_prism_k1(n)
         rows.append(_gamma_row(f"prism:cycle:{n}|k=1|gamma-r",
                                f"prism:cycle:{n}", cg, 1, RESTRAINED, k1))
@@ -238,22 +231,16 @@ def check_prisms() -> list[Row]:
         rows.append(row)
     # any stated value the kernel contradicts gets an independent
     # confirmation pass through the naive oracle
-    graphs = {}
     for r in rows:
         if not r.discrepancy:
             continue
-        fam = r.family
-        if fam not in graphs:
-            graphs[fam] = family_graph(fam)
-        g = graphs[fam]
-        variant = r.variant
-        naive = gamma_naive(DominationQuery(g, r.k, variant))
+        naive = gamma_naive(DominationQuery(graphs[r.family], r.k, r.variant))
         agree = _render(naive) == r.solver
-        r.note = (r.note + "; " if r.note else "") + \
-            "solver value confirmed by independent oracle" if agree else \
-            "oracle disagrees with kernel"
-        rows.append(Row(r.instance + "|oracle-confirm", fam, r.n, r.k,
-                        variant, _render(naive), r.solver, True, agree,
+        r.note = (r.note + "; " if r.note else "") + (
+            "solver value confirmed by independent oracle" if agree else
+            "oracle disagrees with kernel")
+        rows.append(Row(r.instance + "|oracle-confirm", r.family, r.n, r.k,
+                        r.variant, _render(naive), r.solver, True, agree,
                         note="independent subset-scan confirmation of a "
                              "stated value the solver contradicts"))
     return rows

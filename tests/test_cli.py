@@ -138,6 +138,16 @@ def test_guard_env_ignored_by_verify_honoured_by_gamma(capsys, monkeypatch,
     assert "DOMLAB_GUARD_N" in err
 
 
+@pytest.mark.parametrize("argv, cap", [(["gamma", "--naive"], "naive_n=9"),
+                                       (["domatic"], "domatic_n=9")])
+def test_guard_env_honoured_by_naive_and_domatic(capsys, monkeypatch, argv,
+                                                  cap):
+    monkeypatch.setenv("DOMLAB_GUARD_N", "9")
+    code, out, err = run(argv + ["--family", "cycle:12"], capsys)
+    assert code == 1 and out == ""
+    assert "DOMLAB_GUARD_N" in err and cap in err
+
+
 def test_verify_markdown_rows_match_header(capsys, tmp_path):
     out_file = tmp_path / "report.md"
     code, _, _ = run(["verify-paper", "--sections", "complete", "--format",

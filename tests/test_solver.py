@@ -1,3 +1,4 @@
+from dataclasses import fields
 from itertools import product
 
 import pytest
@@ -259,9 +260,19 @@ def test_guards_raise():
     assert "Guards(gamma_n=" in str(exc.value)
 
 
+def test_exhaustive_scans_share_naive_n():
+    small = Guards(naive_n=12)
+    with pytest.raises(GuardExceeded, match="naive_n=12"):
+        t0_exact((5, 5, 5), 1, small)
+    with pytest.raises(GuardExceeded, match="naive_n=12"):
+        enumerate_optimal_sets(DominationQuery(cycle(13), 1), small)
+
+
 def test_guards_env_override(monkeypatch):
     monkeypatch.setenv("DOMLAB_GUARD_N", "30")
-    assert Guards.from_env().gamma_n == 30
+    guards = Guards.from_env()
+    assert {f.name: getattr(guards, f.name) for f in fields(Guards)} == \
+        {"gamma_n": 30, "naive_n": 30, "domatic_n": 30}
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-2"])

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import domlab
 from domlab import verify
+from domlab.formulas import FormulaVerdict
+from domlab.solver import SolveResult
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 PERFBENCH_RUN = PERFBENCH / "run.py"
@@ -25,6 +27,24 @@ def test_properties_run_one_domatic_search_per_graph_and_k(monkeypatch):
                                                        min_degree=1)
                 for k in (1, 2) if g.min_degree >= k]
     assert calls == expected
+
+
+def test_prism_oracle_disagreement_keeps_the_row_note(monkeypatch):
+    # an oracle that never agrees, and a regular-window bound no value meets,
+    # so that row is a discrepancy that already carries a note
+    monkeypatch.setattr(verify, "gamma_naive",
+                        lambda q: SolveResult(True, -1, frozenset()))
+    monkeypatch.setattr(verify.formulas, "f_prism_regular_lb",
+                        lambda n, ell, k: FormulaVerdict(lower=100))
+    rows = {r.instance: r for r in verify.check_prisms()}
+    window = rows["prism:cycle:4|k=2|regular-window"]
+    assert window.discrepancy
+    assert window.note == ("2n corollary read as total-restrained; "
+                           "oracle disagrees with kernel")
+    assert rows["prism:path:8|k=1|gamma-r"].note == \
+        "oracle disagrees with kernel"
+    confirm = rows["prism:cycle:4|k=2|regular-window|oracle-confirm"]
+    assert (confirm.solver, confirm.match) == ("-1", False)
 
 
 def _module_constant(path: Path, name: str):
