@@ -13,7 +13,8 @@ from .family_spec import FamilySpecError, family_graph
 from .graphs import Graph, read_edge_list, write_edge_list
 from .solver import (DominationQuery, Guards, GuardExceeded, active_backend,
                      domatic_exact, gamma_exact, gamma_naive)
-from .verify import Report, SweepConfig, run_sweep, write_csv, write_markdown
+from .verify import (Report, SweepConfig, _timed, run_sweep, write_csv,
+                     write_markdown)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -74,6 +75,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="print one optimal set (1-based)")
     p_gamma.add_argument("--naive", action="store_true",
                          help="use the unpruned oracle instead of the kernel")
+    p_gamma.add_argument("--stats", action="store_true",
+                         help="print the search work (kernel nodes, or "
+                              "subsets with --naive) and the elapsed time")
 
     p_dom = sub.add_parser("domatic", help="domatic number")
     _add_graph_source(p_dom)
@@ -82,6 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["restrained", "total-restrained", "total"])
     p_dom.add_argument("--certificate", action="store_true",
                        help="print one maximum partition (1-based)")
+    p_dom.add_argument("--stats", action="store_true",
+                       help="print the search nodes and the elapsed time")
 
     p_con = sub.add_parser("construct", help="emit a family as an edge list")
     p_con.add_argument("family", help="family spec, e.g. complement:path:9")
@@ -103,11 +109,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_stats(args, work: str, res, ms: float) -> None:
+    if args.stats:
+        print(f"stats: {work}={res.nodes_explored} elapsed={ms:.3f} ms")
+
+
 def _cmd_gamma(args) -> int:
     g = _load_graph(args)
     q = DominationQuery(g, args.k, args.variant)
-    guards = Guards.from_env()
-    res = gamma_naive(q, guards) if args.naive else gamma_exact(q, guards)
+    solve = gamma_naive if args.naive else gamma_exact
+    res, ms = _timed(solve, q, Guards.from_env())
     if not res.feasible:
         print(f"infeasible: min degree {g.min_degree} < k={args.k}")
         return EXIT_INFEASIBLE
@@ -115,13 +126,14 @@ def _cmd_gamma(args) -> int:
           f"backend={'naive' if args.naive else active_backend()})")
     if args.certificate:
         print(f"certificate: {_fmt_set(res.certificate)}")
+    _print_stats(args, "subsets" if args.naive else "nodes", res, ms)
     return EXIT_OK
 
 
 def _cmd_domatic(args) -> int:
     g = _load_graph(args)
     q = DominationQuery(g, args.k, args.variant)
-    res = domatic_exact(q, Guards.from_env())
+    res, ms = _timed(domatic_exact, q, Guards.from_env())
     if not res.feasible:
         print(f"infeasible: min degree {g.min_degree} < k={args.k}")
         return EXIT_INFEASIBLE
@@ -129,6 +141,7 @@ def _cmd_domatic(args) -> int:
     if args.certificate:
         for i, cls in enumerate(res.certificate, 1):
             print(f"class {i}: {_fmt_set(cls)}")
+    _print_stats(args, "nodes", res, ms)
     return EXIT_OK
 
 

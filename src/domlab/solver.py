@@ -13,8 +13,9 @@ variants and re-check each partition it returns with is_ktrdp or is_ktdp.
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from typing import Iterator, Sequence
 
 from .graphs import Graph, complete_multipartite
@@ -263,17 +264,41 @@ def _gamma_search(masks: list[int], k: int,
     bitmasks; returns (value, certificate mask, nodes). The caller ensures
     n >= 1 and minimum degree >= k.
 
-    Iterative deepening over the target cardinality with depth-first in/out
+    Iterative deepening over the target cardinality s with depth-first in/out
     branching in fixed vertex order (include-first, so the first hit is the
-    lexicographically smallest optimal set). Pruning:
+    lexicographically smallest optimal set). A node is a call of dfs; each
+    prune below cuts only subtrees that hold no solution.
 
+    State carried down the recursion, so that no node rescans all n
+    vertices: bit-sliced coverage counters cov[j], the mask of vertices with
+    more than j neighbours in S (j = 0..k-1; including vertex i sets
+    cov[j] |= cov[j-1] & N(i)), packed into one int, plane j at bit j·n; and
+    deficit = sum over v of max(0, k - |N(v) ∩ S|). The local tests look at
+    the branched vertex and its neighbours only; the deficit-cover bound
+    looks at the undecided vertices. Pruning:
+
+      * start: s is at least k + 1, and at least the smallest s whose s
+        largest degrees sum to k·n (the degrees of S sum to
+        Σ_v |N(v) ∩ S| >= k·n);
       * low-degree necessity: in the restrained variant a vertex of degree
         <= 2k-1 belongs to every solution and is preseeded;
-      * per-vertex deficiency vs. remaining budget and undecided neighbors;
-      * decided-out vertices must retain k potential outside neighbors.
+      * max deficit, after an inclusion: some vertex lacks more than the
+        remaining budget, i.e. cov[k-1-budget] is not every vertex;
+      * availability, after excluding i: a neighbour of i keeps fewer than
+        k neighbours in S or undecided;
+      * restrained, after excluding i: i keeps fewer than k neighbours
+        outside S; after including i: so does an excluded neighbour of i;
+      * deficit cover, after an exclusion: the budget undecided vertices
+        with the most deficient neighbours cover less than the deficit. The
+        deepening start stands in for it at the root; evaluated after
+        inclusions as well, it saves nodes but costs small solves more time
+        than they save.
 
-    Leaves are checked with predicates.mask_is_ktds. gamma_naive is the
-    independent oracle this search is tested against.
+    The availability, restrained and max-deficit tests are monotone along a
+    branch, so testing them only where their inputs change prunes exactly
+    what a full rescan at every node would. Leaves are checked with
+    predicates.mask_is_ktds. gamma_naive is the independent oracle this
+    search is tested against.
     """
     n = len(masks)
     full = (1 << n) - 1
@@ -285,40 +310,65 @@ def _gamma_search(masks: list[int], k: int,
             if deg[v] <= 2 * k - 1:
                 forced |= 1 << v
 
+    # plane j of cov is (cov >> j·n) & full; nb * planes copies the mask nb
+    # into every plane, so one expression updates all k counters
+    planes = sum(1 << (j * n) for j in range(k))
+    top = (k - 1) * n
     nodes = 0
 
-    def dfs(i: int, in_mask: int, out_mask: int, cnt_in: int, s: int) -> int:
+    def starved(vs: int, pool: int) -> bool:
+        """Whether a vertex of the mask vs has fewer than k neighbours in
+        the mask pool."""
+        while vs:
+            low = vs & -vs
+            if (masks[low.bit_length() - 1] & pool).bit_count() < k:
+                return True
+            vs ^= low
+        return False
+
+    def dfs(i: int, in_mask: int, out_mask: int, budget: int,
+            cov: int, deficit: int) -> int:
         nonlocal nodes
         nodes += 1
-        budget = s - cnt_in
-        rest = n - i
         if budget == 0:
             return in_mask if mask_is_ktds(masks, in_mask, k, restrained) else -1
-        undecided = full & ~((1 << i) - 1)
-        if budget == rest:
-            cand = in_mask | undecided
+        if budget == n - i:
+            cand = full & ~out_mask
             return cand if mask_is_ktds(masks, cand, k, restrained) else -1
-        for v in range(n):
-            nb = masks[v]
-            in_nb = (nb & in_mask).bit_count()
-            if in_nb < k:
-                if in_nb + (nb & undecided).bit_count() < k:
-                    return -1
-                if k - in_nb > budget:
-                    return -1
-            if restrained and (out_mask >> v) & 1 and deg[v] - in_nb < k:
-                return -1
         bit = 1 << i
-        r = dfs(i + 1, in_mask | bit, out_mask, cnt_in + 1, s)
-        if r >= 0:
-            return r
+        nb = masks[i]
+
+        # include i
+        inc = in_mask | bit
+        b = budget - 1
+        c = cov | (((cov << n) | nb) & nb * planes)
+        if ((b >= k or (c >> (k - 1 - b) * n) & full == full)
+                and not (restrained and starved(nb & out_mask, ~inc))):
+            r = dfs(i + 1, inc, out_mask, b, c,
+                    deficit - (nb & ~(cov >> top)).bit_count())
+            if r >= 0:
+                return r
         if forced & bit:
             return -1
-        return dfs(i + 1, in_mask, out_mask | bit, cnt_in, s)
 
-    # s = n always hits: with min degree >= k, V is a kTDS and a kTRDS
-    s = max(k + 1, forced.bit_count())
-    while (r := dfs(0, 0, 0, 0, s)) < 0:
+        # exclude i
+        out_mask |= bit
+        short = full & ~(cov >> top)
+        if starved(nb & short, ~out_mask):
+            return -1
+        if restrained and (nb & ~in_mask).bit_count() < k:
+            return -1
+        gains = [(mu & short).bit_count() for mu in masks[i + 1:]]
+        gains.sort(reverse=True)
+        if sum(gains[:budget]) < deficit:
+            return -1
+        return dfs(i + 1, in_mask, out_mask, budget, cov, deficit)
+
+    # the s largest degrees must sum to k·n; s = n always hits: with min
+    # degree >= k, V is a kTDS and a kTRDS
+    degsum = list(accumulate(sorted(deg, reverse=True)))
+    s = max(bisect_left(degsum, k * n) + 1, k + 1, forced.bit_count())
+    while (r := dfs(0, 0, 0, s, 0, k * n)) < 0:
         s += 1
     return (s, r, nodes)
 

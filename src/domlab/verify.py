@@ -453,6 +453,8 @@ def check_properties(seed: int, random_count: int) -> list[Row]:
                          for part in enumerate_domatic_partitions(qr, dr.value))
                 prop("equality-classes-optimal", ok, "partitions",
                      "all classes optimal")
+            # holds by construction, not evidence: domatic_exact never tries
+            # more than min(n // (k+1), min_degree // k) classes
             cap = formulas.f_domatic_caps(n, k, bipartite=False)
             prop("domatic-cap", dr.value <= cap.upper_int, str(dr.value),
                  cap.render())
@@ -467,6 +469,8 @@ def check_properties(seed: int, random_count: int) -> list[Row]:
                          if mask_is_ktds(masks, smask, k, True))
                 prop("low-degree-in-every-set", ok, "all kTRDS",
                      "contain low-degree vertices")
+            # holds by construction, not evidence: min_degree // k <= 1
+            # here, and domatic_exact tries no more classes than that
             if g.min_degree <= 2 * k - 1:
                 prop("domatic-one", dr.value == 1, str(dr.value), "1")
             if gr.value < n:

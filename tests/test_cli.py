@@ -5,6 +5,10 @@ import sys
 import pytest
 
 from domlab import cli
+from domlab.family_spec import family_graph
+from domlab.graphs import complete
+from domlab.solver import (DominationQuery, domatic_exact, gamma_exact,
+                           gamma_naive)
 
 
 def run(argv, capsys):
@@ -38,6 +42,32 @@ def test_domatic(capsys):
     assert code == 0 and "domatic = 3" in out
     code, out, _ = run(["domatic", "--family", "cycle:5", "--k", "2"], capsys)
     assert code == 0 and "domatic = 1" in out
+
+
+STATS = re.compile(r"^stats: (nodes|subsets)=(\d+) elapsed=\d+\.\d{3} ms$",
+                   re.M)
+
+
+@pytest.mark.parametrize("argv, work", [([], "nodes"), (["--naive"], "subsets")])
+def test_gamma_stats(capsys, argv, work):
+    g = family_graph("prism:cycle:6")
+    solve = gamma_naive if argv else gamma_exact
+    want = solve(DominationQuery(g, 2)).nodes_explored
+    code, out, _ = run(["gamma", "--family", "prism:cycle:6", "--k", "2",
+                        "--stats"] + argv, capsys)
+    assert code == 0 and "gamma = 8" in out
+    assert STATS.findall(out) == [(work, str(want))]
+    code, out, _ = run(["gamma", "--family", "prism:cycle:6", "--k", "2"],
+                       capsys)
+    assert not STATS.findall(out)
+
+
+def test_domatic_stats(capsys):
+    want = domatic_exact(DominationQuery(complete(6), 1)).nodes_explored
+    code, out, _ = run(["domatic", "--family", "complete:6", "--stats"],
+                       capsys)
+    assert code == 0 and "domatic = 3" in out
+    assert STATS.findall(out) == [("nodes", str(want))]
 
 
 def test_construct_petersen(capsys, tmp_path):
