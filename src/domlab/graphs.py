@@ -5,30 +5,41 @@ Vertices are labeled 0..n-1 internally; 1-based labels appear only in I/O.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 BAR = "̄"  # combining macron, renders "3" + BAR as the complement-copy label
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Graph:
     """Simple undirected graph with per-vertex neighbor sets.
 
     Invariants: no self-loops, symmetric adjacency. Instances are immutable
-    and safe to share across threads.
+    and safe to share across threads. The adjacency bitmasks and min_degree
+    are computed once, with the graph, because every solver call reads them;
+    slots keep the extra fields from growing each instance.
     """
 
     n: int
     adj: tuple[frozenset[int], ...]
     labels: tuple[str, ...] | None = None
+    _masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    min_degree: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        masks = []
+        for a in self.adj:
+            m = 0
+            for w in a:
+                m |= 1 << w
+            masks.append(m)
+        object.__setattr__(self, "_masks", tuple(masks))
+        object.__setattr__(self, "min_degree",
+                           min(map(len, self.adj), default=0))
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
-
-    @property
-    def min_degree(self) -> int:
-        return min((len(a) for a in self.adj), default=0)
 
     @property
     def max_degree(self) -> int:
@@ -46,15 +57,9 @@ class Graph:
             return self.labels[v]
         return str(v + 1)
 
-    def neighbor_masks(self) -> list[int]:
+    def neighbor_masks(self) -> tuple[int, ...]:
         """Adjacency as integer bitmasks, one per vertex."""
-        masks = []
-        for a in self.adj:
-            m = 0
-            for w in a:
-                m |= 1 << w
-            masks.append(m)
-        return masks
+        return self._masks
 
 
 def _assemble(n: int, edge_set: set[tuple[int, int]],
@@ -63,7 +68,7 @@ def _assemble(n: int, edge_set: set[tuple[int, int]],
     for u, v in edge_set:
         adj[u].add(v)
         adj[v].add(u)
-    return Graph(n, tuple(frozenset(a) for a in adj), labels)
+    return Graph(n, tuple(map(frozenset, adj)), labels)
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -80,7 +85,7 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             raise ValueError(f"self-loop rejected: ({u}, {v})")
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"endpoint out of range 0..{n - 1}: ({u}, {v})")
-        edge_set.add((min(u, v), max(u, v)))
+        edge_set.add((u, v) if u < v else (v, u))
     return _assemble(n, edge_set)
 
 

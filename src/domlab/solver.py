@@ -121,8 +121,13 @@ def subset_masks(n: int) -> Iterator[int]:
             yield sum(combo)
 
 
-def _vertices(mask: int, n: int) -> frozenset[int]:
-    return frozenset(v for v in range(n) if (mask >> v) & 1)
+def _vertices(mask: int) -> frozenset[int]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return frozenset(out)
 
 
 def gamma_exact(q: DominationQuery,
@@ -134,7 +139,7 @@ def gamma_exact(q: DominationQuery,
         return SolveResult(False, None, None)
     value, cert_mask, nodes = _gamma_search(g.neighbor_masks(), q.k,
                                             q.restrained)
-    return SolveResult(True, value, _vertices(cert_mask, g.n), nodes)
+    return SolveResult(True, value, _vertices(cert_mask), nodes)
 
 
 def gamma_naive(q: DominationQuery,
@@ -154,7 +159,7 @@ def gamma_naive(q: DominationQuery,
     for checked, smask in enumerate(subset_masks(g.n), 1):
         if mask_is_ktds(masks, smask, k, restrained):
             break
-    cert = _vertices(smask, g.n)
+    cert = _vertices(smask)
     if not (is_ktrds if restrained else is_ktds)(g, cert, k):
         raise RuntimeError(f"gamma_naive: {sorted(cert)} passes the bitmask "
                            "predicate but not the set form")
@@ -176,7 +181,7 @@ def enumerate_optimal_sets(q: DominationQuery,
             break
         if mask_is_ktds(masks, smask, k, restrained):
             hits.append(smask)
-    return [_vertices(m, g.n) for m in hits]
+    return [_vertices(m) for m in hits]
 
 
 def t0_exact(parts: Sequence[int], k: int,
@@ -251,129 +256,204 @@ def _partition(q: DominationQuery,
                class_masks: Sequence[int]) -> tuple[frozenset[int], ...]:
     """Class masks as vertex sets, re-checked with the set-form predicate."""
     g = q.graph
-    part = tuple(_vertices(m, g.n) for m in class_masks)
+    part = tuple(_vertices(m) for m in class_masks)
     if not (is_ktrdp if q.restrained else is_ktdp)(g, part, q.k):
         raise RuntimeError(f"domatic search: {[sorted(c) for c in part]} is "
                            f"not a {'kTRDP' if q.restrained else 'kTDP'}")
     return part
 
 
-def _gamma_search(masks: list[int], k: int,
+def _gamma_search(masks: Sequence[int], k: int,
                   restrained: bool) -> tuple[int, int, int]:
     """Minimum size of a kTDS (kTRDS when restrained) over the adjacency
-    bitmasks; returns (value, certificate mask, nodes). The caller ensures
-    n >= 1 and minimum degree >= k.
+    bitmasks; returns (value, certificate mask, nodes), the certificate being
+    the first minimum set in enumerate_optimal_sets' order. The caller
+    ensures n >= 1 and minimum degree >= k.
 
-    Iterative deepening over the target cardinality s with depth-first in/out
-    branching in fixed vertex order (include-first, so the first hit is the
-    lexicographically smallest optimal set). A node is a call of dfs; each
-    prune below cuts only subtrees that hold no solution.
+    Iterative deepening over the size s. A node (a call of search) holds S,
+    the excluded set X, the budget b = s - |S| and bit-sliced counters cov:
+    plane j, at bit j*n, masks the vertices with more than j neighbours in
+    S. The deficit D, the sum of max(0, k - |N(v) & S|), is k*n minus the
+    set bits of cov.
 
-    State carried down the recursion, so that no node rescans all n
-    vertices: bit-sliced coverage counters cov[j], the mask of vertices with
-    more than j neighbours in S (j = 0..k-1; including vertex i sets
-    cov[j] |= cov[j-1] & N(i)), packed into one int, plane j at bit j·n; and
-    deficit = sum over v of max(0, k - |N(v) ∩ S|). The local tests look at
-    the branched vertex and its neighbours only; the deficit-cover bound
-    looks at the undecided vertices. Pruning:
+    Branching: the deficient vertex v with the fewest neighbours outside X
+    (least slack; ties to the lowest index) branches over its undecided
+    neighbours u1, u2, ... in index order: include u1; exclude u1, include
+    u2; ... while v can still be covered. With b = 1 the one vertex left
+    must be adjacent to every deficient vertex, so such nodes close at once.
 
-      * start: s is at least k + 1, and at least the smallest s whose s
-        largest degrees sum to k·n (the degrees of S sum to
-        Σ_v |N(v) ∩ S| >= k·n);
-      * low-degree necessity: in the restrained variant a vertex of degree
-        <= 2k-1 belongs to every solution and is preseeded;
-      * max deficit, after an inclusion: some vertex lacks more than the
-        remaining budget, i.e. cov[k-1-budget] is not every vertex;
-      * availability, after excluding i: a neighbour of i keeps fewer than
-        k neighbours in S or undecided;
-      * restrained, after excluding i: i keeps fewer than k neighbours
-        outside S; after including i: so does an excluded neighbour of i;
-      * deficit cover, after an exclusion: the budget undecided vertices
-        with the most deficient neighbours cover less than the deficit. The
-        deepening start stands in for it at the root; evaluated after
-        inclusions as well, it saves nodes but costs small solves more time
-        than they save.
+    Forcing (restrained): vertices of degree <= 2k-1 start in S. A vertex
+    outside S left with fewer than k neighbours outside S is forced in if
+    undecided and ends the branch if excluded; after including u only u's
+    neighbours with k neighbours in S and degree below s + k are tested.
 
-    The availability, restrained and max-deficit tests are monotone along a
-    branch, so testing them only where their inputs change prunes exactly
-    what a full rescan at every node would. Leaves are checked with
-    predicates.mask_is_ktds. gamma_naive is the independent oracle this
-    search is tested against.
+    Pruning: s starts at k + 1 and at the smallest s whose s largest degrees
+    sum to k*n; restrained, s in (n-k-1, n) is skipped, since a proper
+    kTRDS leaves at least k + 1 vertices outside. A branch dies when a vertex
+    lacks more than b (plane k-1-b of cov is not full) or has fewer than k
+    neighbours outside X. Once X is not empty and D > b, it dies when
+    deficient vertices with pairwise disjoint undecided neighbourhoods need
+    more than b inclusions (packing), or when the b undecided vertices with
+    the most deficient neighbours cover less than D (deficit cover).
+
+    Certificate: at s = gamma, with the witness w found, vertices are
+    decided in index order. The first undecided vertex below w's last one
+    and not in w is tried by one search, with w's vertices below it
+    included: on a hit it joins S and the hit becomes w, else it is
+    excluded. So each decision keeps the first optimal set consistent with
+    the ones before, and the final w is the first optimal set. gamma_naive
+    is the independent oracle this search is tested against.
     """
     n = len(masks)
     full = (1 << n) - 1
+    kn = k * n
     deg = [nb.bit_count() for nb in masks]
-
+    s = max(bisect_left(list(accumulate(sorted(deg, reverse=True))), kn) + 1,
+            k + 1)
+    dmin = min(deg)
     forced = 0
     if restrained:
-        for v in range(n):
-            if deg[v] <= 2 * k - 1:
-                forced |= 1 << v
-
-    # plane j of cov is (cov >> j·n) & full; nb * planes copies the mask nb
-    # into every plane, so one expression updates all k counters
-    planes = sum(1 << (j * n) for j in range(k))
+        if s > n - k - 1:
+            return (n, full, 0)
+        if dmin < 2 * k:
+            forced = sum(1 << v for v, d in enumerate(deg) if d < 2 * k)
+    # bit j*n of planes is set for each j < k, so nb * planes copies the
+    # mask nb into every plane of cov
+    planes = ((1 << kn) - 1) // full
     top = (k - 1) * n
+    bits = [1 << v for v in range(n)]
     nodes = 0
+    # the vertices an inclusion can starve at the current level
+    risky = full
 
-    def starved(vs: int, pool: int) -> bool:
-        """Whether a vertex of the mask vs has fewer than k neighbours in
-        the mask pool."""
-        while vs:
-            low = vs & -vs
-            if (masks[low.bit_length() - 1] & pool).bit_count() < k:
-                return True
-            vs ^= low
-        return False
+    def include(S, X, b, cov, todo):
+        """Include the vertices of todo and the restrained closure; the new
+        (S, b, cov), or None when that breaks a prune."""
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            if not b:
+                return None
+            nb = masks[low.bit_length() - 1]
+            cov |= ((cov << n) | nb) & nb * planes
+            S |= low
+            b -= 1
+            if restrained:
+                ws = nb & (cov >> top) & risky & ~(S | todo)
+                out = ~S
+                while ws:
+                    w = ws & -ws
+                    ws ^= w
+                    if (masks[w.bit_length() - 1] & out).bit_count() < k:
+                        if X & w:
+                            return None
+                        todo |= w
+        if b < k and (cov >> (k - 1 - b) * n) & full != full:
+            return None
+        return S, b, cov
 
-    def dfs(i: int, in_mask: int, out_mask: int, budget: int,
-            cov: int, deficit: int) -> int:
+    def search(S, X, b, cov):
+        """A solution extending S and avoiding X, or -1."""
         nonlocal nodes
         nodes += 1
-        if budget == 0:
-            return in_mask if mask_is_ktds(masks, in_mask, k, restrained) else -1
-        if budget == n - i:
-            cand = full & ~out_mask
-            return cand if mask_is_ktds(masks, cand, k, restrained) else -1
-        bit = 1 << i
-        nb = masks[i]
-
-        # include i
-        inc = in_mask | bit
-        b = budget - 1
-        c = cov | (((cov << n) | nb) & nb * planes)
-        if ((b >= k or (c >> (k - 1 - b) * n) & full == full)
-                and not (restrained and starved(nb & out_mask, ~inc))):
-            r = dfs(i + 1, inc, out_mask, b, c,
-                    deficit - (nb & ~(cov >> top)).bit_count())
-            if r >= 0:
-                return r
-        if forced & bit:
-            return -1
-
-        # exclude i
-        out_mask |= bit
         short = full & ~(cov >> top)
-        if starved(nb & short, ~out_mask):
+        if not short:
+            return S
+        U = full & ~(S | X)
+        if b == 1:
+            cand = U
+            vs = short
+            while vs:
+                low = vs & -vs
+                vs ^= low
+                cand &= masks[low.bit_length() - 1]
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                if include(S, X, 1, cov, low):
+                    return S | low
             return -1
-        if restrained and (nb & ~in_mask).bit_count() < k:
+        notX = ~X
+        lo = max(k, dmin - X.bit_count())
+        best = n
+        vs = short
+        while vs:
+            low = vs & -vs
+            vs ^= low
+            nb = masks[low.bit_length() - 1]
+            a = (nb & notX).bit_count()
+            if a < best:
+                best, vnb = a, nb
+                if a <= lo:
+                    break
+        if best < k:
             return -1
-        gains = [(mu & short).bit_count() for mu in masks[i + 1:]]
-        gains.sort(reverse=True)
-        if sum(gains[:budget]) < deficit:
-            return -1
-        return dfs(i + 1, in_mask, out_mask, budget, cov, deficit)
+        D = kn - cov.bit_count()
+        if X and D > b:
+            used = packed = 0
+            vs = short
+            while vs:
+                low = vs & -vs
+                vs ^= low
+                nu = masks[low.bit_length() - 1] & U
+                if not nu & used:
+                    used |= nu
+                    packed |= low
+            if (k * packed.bit_count()
+                    - (cov & packed * planes).bit_count() > b):
+                return -1
+            gains = [(mu & short).bit_count()
+                     for mu, bit in zip(masks, bits) if U & bit]
+            gains.sort(reverse=True)
+            if sum(gains[:b]) < D:
+                return -1
+        cand = vnb & U
+        for _ in range(best - k + 1):
+            low = cand & -cand
+            cand ^= low
+            st = include(S, X, b, cov, low)
+            if st:
+                r = search(st[0], X, st[1], st[2])
+                if r >= 0:
+                    return r
+            X |= low
+        return -1
 
-    # the s largest degrees must sum to k·n; s = n always hits: with min
-    # degree >= k, V is a kTDS and a kTRDS
-    degsum = list(accumulate(sorted(deg, reverse=True)))
-    s = max(bisect_left(degsum, k * n) + 1, k + 1, forced.bit_count())
-    while (r := dfs(0, 0, 0, s, 0, k * n)) < 0:
+    S0, _, cov0 = include(0, 0, n, 0, forced)
+    m0 = S0.bit_count()
+    s = max(s, m0)
+    while True:
+        if restrained and s > n - k - 1:
+            s = n
+        if s == n:
+            return (n, full, nodes)
+        if restrained:
+            risky = sum(bit for bit, d in zip(bits, deg) if d < s + k)
+        b = s - m0
+        if b >= k or (cov0 >> (k - 1 - b) * n) & full == full:
+            w = search(S0, 0, b, cov0)
+            if w >= 0:
+                break
         s += 1
-    return (s, r, nodes)
+
+    # w is a witness; the vertices below a gap are decided, so the first
+    # gap (a vertex outside w below w's last vertex) is tried with a search
+    S, X, b, cov = S0, 0, s - m0, cov0
+    while gaps := ((1 << w.bit_length()) - 1) & ~(w | X):
+        bit = gaps & -gaps
+        if w & (bit - 1) & ~S:
+            S, b, cov = include(S, X, b, cov, w & (bit - 1) & ~S)
+        st = include(S, X, b, cov, bit)
+        r = search(st[0], X, st[1], st[2]) if st else -1
+        if r < 0:
+            X |= bit
+        else:
+            w = r
+            S, b, cov = st
+    return (s, w, nodes)
 
 
-def _domatic_search(masks: list[int], k: int, d: int,
+def _domatic_search(masks: Sequence[int], k: int, d: int,
                     first_only: bool) -> tuple[list[tuple[int, ...]], int]:
     """Assign vertices 0..n-1 to d classes so that every vertex has k
     neighbours in every class; returns (class-mask tuples, nodes).

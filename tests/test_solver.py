@@ -1,8 +1,10 @@
+import random
 from dataclasses import fields
 from itertools import product
 
 import pytest
 
+from domlab.family_spec import family_graph
 from domlab.formulas import f_domatic_complete
 from domlab.graphs import (complement, complementary_prism, complete,
                            complete_bipartite, complete_multipartite, cycle,
@@ -16,6 +18,7 @@ from domlab.solver import (VARIANT_RESTRAINED, VARIANT_TOTAL,
                            enumerate_domatic_partitions,
                            enumerate_optimal_sets, gamma_exact, gamma_naive,
                            t0_exact)
+from domlab.verify import random_graph
 
 
 def test_active_backend_is_pure_python():
@@ -50,41 +53,41 @@ def test_certificate_is_lex_smallest():
 
 
 # gamma_exact's node count and certificate on the prisms of C_n and P_n,
-# n = 6..9 (variant t = total, r = total-restrained); 13,457 nodes in all.
+# n = 6..9 (variant t = total, r = total-restrained); 1,351 nodes in all.
 # A kernel change that moves these updates the table and says so.
 PRISM_SEARCH_PINS = {
-    ("cycle", 6, 1, "t"): (46, (0, 3, 6, 9)),
-    ("cycle", 6, 1, "r"): (46, (0, 3, 6, 9)),
-    ("cycle", 6, 2, "t"): (100, (0, 1, 2, 3, 4, 5, 6, 9)),
-    ("cycle", 6, 2, "r"): (23, (0, 1, 2, 3, 4, 5, 6, 9)),
-    ("cycle", 7, 1, "t"): (232, (0, 1, 4, 7, 11)),
-    ("cycle", 7, 1, "r"): (230, (0, 1, 4, 7, 11)),
-    ("cycle", 7, 2, "t"): (291, (0, 1, 2, 3, 4, 5, 6, 7, 10)),
-    ("cycle", 7, 2, "r"): (26, (0, 1, 2, 3, 4, 5, 6, 7, 10)),
-    ("cycle", 8, 1, "t"): (980, (0, 1, 2, 4, 5, 9)),
-    ("cycle", 8, 1, "r"): (967, (0, 1, 2, 4, 5, 9)),
-    ("cycle", 8, 2, "t"): (684, (0, 1, 2, 3, 4, 5, 6, 7, 8, 11)),
-    ("cycle", 8, 2, "r"): (29, (0, 1, 2, 3, 4, 5, 6, 7, 8, 11)),
-    ("cycle", 9, 1, "t"): (1339, (0, 1, 2, 5, 6, 10)),
-    ("cycle", 9, 1, "r"): (1324, (0, 1, 2, 5, 6, 10)),
-    ("cycle", 9, 2, "t"): (1372, (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 12)),
-    ("cycle", 9, 2, "r"): (32, (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 12)),
-    ("path", 6, 1, "t"): (81, (1, 4, 7, 10)),
-    ("path", 6, 1, "r"): (79, (1, 4, 7, 10)),
-    ("path", 6, 2, "t"): (63, (0, 1, 2, 3, 4, 5, 6, 11)),
-    ("path", 6, 2, "r"): (72, (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)),
-    ("path", 7, 1, "t"): (215, (0, 1, 4, 5, 7)),
-    ("path", 7, 1, "r"): (209, (0, 1, 4, 5, 7)),
-    ("path", 7, 2, "t"): (154, (0, 1, 2, 3, 4, 5, 6, 7, 13)),
-    ("path", 7, 2, "r"): (28, (0, 1, 2, 3, 4, 5, 6, 7, 13)),
-    ("path", 8, 1, "t"): (577, (1, 4, 5, 9, 15)),
-    ("path", 8, 1, "r"): (554, (1, 4, 5, 9, 15)),
-    ("path", 8, 2, "t"): (306, (0, 1, 2, 3, 4, 5, 6, 7, 8, 15)),
-    ("path", 8, 2, "r"): (32, (0, 1, 2, 3, 4, 5, 6, 7, 8, 15)),
-    ("path", 9, 1, "t"): (1407, (0, 1, 4, 7, 13, 16)),
-    ("path", 9, 1, "r"): (1352, (0, 1, 4, 7, 13, 16)),
-    ("path", 9, 2, "t"): (571, (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 17)),
-    ("path", 9, 2, "r"): (36, (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 17)),
+    ("cycle", 6, 1, "t"): (35, (0, 3, 6, 9)),
+    ("cycle", 6, 1, "r"): (35, (0, 3, 6, 9)),
+    ("cycle", 6, 2, "t"): (34, (0, 1, 2, 3, 4, 5, 6, 9)),
+    ("cycle", 6, 2, "r"): (4, (0, 1, 2, 3, 4, 5, 6, 9)),
+    ("cycle", 7, 1, "t"): (52, (0, 1, 4, 7, 11)),
+    ("cycle", 7, 1, "r"): (52, (0, 1, 4, 7, 11)),
+    ("cycle", 7, 2, "t"): (67, (0, 1, 2, 3, 4, 5, 6, 7, 10)),
+    ("cycle", 7, 2, "r"): (4, (0, 1, 2, 3, 4, 5, 6, 7, 10)),
+    ("cycle", 8, 1, "t"): (89, (0, 1, 2, 4, 5, 9)),
+    ("cycle", 8, 1, "r"): (89, (0, 1, 2, 4, 5, 9)),
+    ("cycle", 8, 2, "t"): (84, (0, 1, 2, 3, 4, 5, 6, 7, 8, 11)),
+    ("cycle", 8, 2, "r"): (4, (0, 1, 2, 3, 4, 5, 6, 7, 8, 11)),
+    ("cycle", 9, 1, "t"): (82, (0, 1, 2, 5, 6, 10)),
+    ("cycle", 9, 1, "r"): (82, (0, 1, 2, 5, 6, 10)),
+    ("cycle", 9, 2, "t"): (113, (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 12)),
+    ("cycle", 9, 2, "r"): (4, (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 12)),
+    ("path", 6, 1, "t"): (22, (1, 4, 7, 10)),
+    ("path", 6, 1, "r"): (21, (1, 4, 7, 10)),
+    ("path", 6, 2, "t"): (20, (0, 1, 2, 3, 4, 5, 6, 11)),
+    ("path", 6, 2, "r"): (5, (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)),
+    ("path", 7, 1, "t"): (25, (0, 1, 4, 5, 7)),
+    ("path", 7, 1, "r"): (25, (0, 1, 4, 5, 7)),
+    ("path", 7, 2, "t"): (31, (0, 1, 2, 3, 4, 5, 6, 7, 13)),
+    ("path", 7, 2, "r"): (3, (0, 1, 2, 3, 4, 5, 6, 7, 13)),
+    ("path", 8, 1, "t"): (54, (1, 4, 5, 9, 15)),
+    ("path", 8, 1, "r"): (53, (1, 4, 5, 9, 15)),
+    ("path", 8, 2, "t"): (46, (0, 1, 2, 3, 4, 5, 6, 7, 8, 15)),
+    ("path", 8, 2, "r"): (3, (0, 1, 2, 3, 4, 5, 6, 7, 8, 15)),
+    ("path", 9, 1, "t"): (75, (0, 1, 4, 7, 13, 16)),
+    ("path", 9, 1, "r"): (75, (0, 1, 4, 7, 13, 16)),
+    ("path", 9, 2, "t"): (60, (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 17)),
+    ("path", 9, 2, "r"): (3, (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 17)),
 }
 
 
@@ -96,7 +99,7 @@ def test_gamma_exact_prism_node_counts_pinned():
         res = gamma_exact(DominationQuery(g, k, variant))
         got[fam, n, k, v] = (res.nodes_explored, tuple(sorted(res.certificate)))
     assert got == PRISM_SEARCH_PINS
-    assert sum(nodes for nodes, _ in got.values()) == 13457
+    assert sum(nodes for nodes, _ in got.values()) == 1351
 
 
 def test_kernel_certificate_is_first_optimal_set():
@@ -114,6 +117,54 @@ def test_kernel_certificate_is_first_optimal_set():
                         enumerate_optimal_sets(q)[0], (g.edges(), k, variant)
                     cases += 1
     assert cases == 3606
+
+
+def _certificate_cases_past_seven():
+    """(graph, k): four seeded G(n, p) for each n = 8..12, p in {0.3, 0.5}
+    and k = 1..3, resampled until min degree >= k, and the prisms of C_n and
+    P_n for n = 4..6."""
+    rng = random.Random(20230417)
+    for n, p, k, _ in product(range(8, 13), (0.3, 0.5), (1, 2, 3), range(4)):
+        g = random_graph(rng, n, p)
+        while g.min_degree < k:
+            g = random_graph(rng, n, p)
+        yield g, k
+    for base in (cycle, path):
+        for n in range(4, 7):
+            g = complementary_prism(base(n))
+            for k in range(1, min(g.min_degree, 3) + 1):
+                yield g, k
+
+
+def test_kernel_certificate_is_first_optimal_set_past_seven():
+    # the certificate pass, not the search order, makes the certificate
+    # lexicographically first; these graphs are larger than all_graphs' lists
+    cases = 0
+    for g, k in _certificate_cases_past_seven():
+        for variant in (VARIANT_TOTAL, VARIANT_RESTRAINED):
+            q = DominationQuery(g, k, variant)
+            assert gamma_exact(q).certificate == \
+                enumerate_optimal_sets(q)[0], (g.edges(), k, variant)
+            cases += 1
+    assert cases == 268
+
+
+# k = 1 values and certificates (the lexicographically first optimal sets,
+# as the earlier fixed-order kernel found them) of two deep prisms; the node
+# ceiling is the machine-independent check on the kernel's speed
+DEEP_PRISMS = {
+    "prism:cycle:16": (9, (0, 1, 4, 5, 8, 11, 12, 24, 30)),
+    "prism:path:20": (11, (1, 2, 5, 6, 9, 10, 13, 16, 17, 33, 39)),
+}
+
+
+@pytest.mark.parametrize("variant", [VARIANT_TOTAL, VARIANT_RESTRAINED])
+@pytest.mark.parametrize("family", sorted(DEEP_PRISMS))
+def test_deep_prism_solves_under_node_ceiling(family, variant):
+    res = gamma_exact(DominationQuery(family_graph(family), 1, variant),
+                      Guards(gamma_n=40))
+    assert (res.value, tuple(sorted(res.certificate))) == DEEP_PRISMS[family]
+    assert res.nodes_explored <= 10_000
 
 
 def test_naive_certificate_is_valid_and_minimum_sized():
