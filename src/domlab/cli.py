@@ -31,10 +31,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _add_graph_source(p: argparse.ArgumentParser) -> None:
+def _add_query_args(p: argparse.ArgumentParser) -> None:
+    """The graph source, k and variant that gamma and domatic share."""
     grp = p.add_mutually_exclusive_group(required=True)
     grp.add_argument("--family", help="family spec, e.g. prism:cycle:6")
     grp.add_argument("--input", help="edge-list file ('-' for stdin)")
+    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--variant", default="restrained",
+                   choices=["restrained", "total-restrained", "total"])
 
 
 def _load_graph(args) -> Graph:
@@ -66,11 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
                      description="k-tuple total (restrained) domination toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_gamma = sub.add_parser("gamma", parents=[], help="domination number")
-    _add_graph_source(p_gamma)
-    p_gamma.add_argument("--k", type=int, default=1)
-    p_gamma.add_argument("--variant", default="restrained",
-                         choices=["restrained", "total-restrained", "total"])
+    p_gamma = sub.add_parser("gamma", help="domination number")
+    _add_query_args(p_gamma)
     p_gamma.add_argument("--certificate", action="store_true",
                          help="print one optimal set (1-based)")
     p_gamma.add_argument("--naive", action="store_true",
@@ -80,10 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "subsets with --naive) and the elapsed time")
 
     p_dom = sub.add_parser("domatic", help="domatic number")
-    _add_graph_source(p_dom)
-    p_dom.add_argument("--k", type=int, default=1)
-    p_dom.add_argument("--variant", default="restrained",
-                       choices=["restrained", "total-restrained", "total"])
+    _add_query_args(p_dom)
     p_dom.add_argument("--certificate", action="store_true",
                        help="print one maximum partition (1-based)")
     p_dom.add_argument("--stats", action="store_true",

@@ -293,8 +293,7 @@ def _gamma_search(masks: Sequence[int], k: int,
     lacks more than b (plane k-1-b of cov is not full) or has fewer than k
     neighbours outside X. Once X is not empty and D > b, it dies when
     deficient vertices with pairwise disjoint undecided neighbourhoods need
-    more than b inclusions (packing), or when the b undecided vertices with
-    the most deficient neighbours cover less than D (deficit cover).
+    more than b inclusions (packing).
 
     Certificate: at s = gamma, with the witness w found, vertices are
     decided in index order. The first undecided vertex below w's last one
@@ -321,7 +320,6 @@ def _gamma_search(masks: Sequence[int], k: int,
     # mask nb into every plane of cov
     planes = ((1 << kn) - 1) // full
     top = (k - 1) * n
-    bits = [1 << v for v in range(n)]
     nodes = 0
     # the vertices an inclusion can starve at the current level
     risky = full
@@ -386,8 +384,6 @@ def _gamma_search(masks: Sequence[int], k: int,
                 best, vnb = a, nb
                 if a <= lo:
                     break
-        if best < k:
-            return -1
         D = kn - cov.bit_count()
         if X and D > b:
             used = packed = 0
@@ -401,11 +397,6 @@ def _gamma_search(masks: Sequence[int], k: int,
                     packed |= low
             if (k * packed.bit_count()
                     - (cov & packed * planes).bit_count() > b):
-                return -1
-            gains = [(mu & short).bit_count()
-                     for mu, bit in zip(masks, bits) if U & bit]
-            gains.sort(reverse=True)
-            if sum(gains[:b]) < D:
                 return -1
         cand = vnb & U
         for _ in range(best - k + 1):
@@ -428,7 +419,7 @@ def _gamma_search(masks: Sequence[int], k: int,
         if s == n:
             return (n, full, nodes)
         if restrained:
-            risky = sum(bit for bit, d in zip(bits, deg) if d < s + k)
+            risky = sum(1 << v for v, d in enumerate(deg) if d < s + k)
         b = s - m0
         if b >= k or (cov0 >> (k - 1 - b) * n) & full == full:
             w = search(S0, 0, b, cov0)

@@ -119,9 +119,10 @@ def _gamma_row(instance: str, family: str, g: Graph, k: int, variant: str,
 def check_complete() -> list[Row]:
     rows = []
     for n in range(2, 13):
+        g = complete(n)
         for k in range(1, n):
             rows.append(_gamma_row(f"complete:{n}|k={k}|gamma-r",
-                                   f"complete:{n}", complete(n), k,
+                                   f"complete:{n}", g, k,
                                    RESTRAINED, formulas.f_complete(n, k)))
     return rows
 
@@ -139,17 +140,17 @@ def check_cycles() -> list[Row]:
 def check_complements() -> list[Row]:
     rows = []
     for n in range(4, 15):
+        g = family_graph(f"complement:cycle:{n}")
+        gp = family_graph(f"complement:path:{n}")
         for k in range(1, 4):
             if n < k + 3:
                 continue
             rows.append(_gamma_row(
                 f"complement:cycle:{n}|k={k}|gamma-r", f"complement:cycle:{n}",
-                family_graph(f"complement:cycle:{n}"), k, RESTRAINED,
-                formulas.f_complement_cycle(n, k)))
+                g, k, RESTRAINED, formulas.f_complement_cycle(n, k)))
             rows.append(_gamma_row(
                 f"complement:path:{n}|k={k}|gamma-r", f"complement:path:{n}",
-                family_graph(f"complement:path:{n}"), k, RESTRAINED,
-                formulas.f_complement_path(n, k)))
+                gp, k, RESTRAINED, formulas.f_complement_path(n, k)))
     return rows
 
 
@@ -157,11 +158,11 @@ def check_bipartite() -> list[Row]:
     rows = []
     for n in range(1, 8):
         for m in range(1, n + 1):
+            g = family_graph(f"bipartite:{n},{m}")
             for k in range(1, min(m, 3) + 1):
                 rows.append(_gamma_row(
                     f"bipartite:{n},{m}|k={k}|gamma-r", f"bipartite:{n},{m}",
-                    family_graph(f"bipartite:{n},{m}"), k, RESTRAINED,
-                    formulas.f_complete_bipartite(n, m, k)))
+                    g, k, RESTRAINED, formulas.f_complete_bipartite(n, m, k)))
     return rows
 
 
@@ -288,15 +289,15 @@ def check_witnesses() -> list[Row]:
         rows.append(_witness_row(f"witness:cycle-trds:{n}", f"cycle:{n}",
                                  cycle(n), w, 1, exp))
     for n in range(4, 17):
+        g = complement(cycle(n))
+        gp = complement(family_graph(f"path:{n}"))
         for k in range(1, 4):
             if n < k + 3:
                 continue
-            g = complement(cycle(n))
             w = witness_complement_cycle(n, k)
             exp = formulas.f_complement_cycle(n, k).value
             rows.append(_witness_row(f"witness:complement-cycle:{n}|k={k}",
                                      f"complement:cycle:{n}", g, w, k, exp))
-            gp = complement(family_graph(f"path:{n}"))
             wp = witness_complement_path(n, k)
             expp = formulas.f_complement_path(n, k).value
             rows.append(_witness_row(f"witness:complement-path:{n}|k={k}",

@@ -53,27 +53,27 @@ def test_certificate_is_lex_smallest():
 
 
 # gamma_exact's node count and certificate on the prisms of C_n and P_n,
-# n = 6..9 (variant t = total, r = total-restrained); 1,351 nodes in all.
+# n = 6..9 (variant t = total, r = total-restrained); 1,418 nodes in all.
 # A kernel change that moves these updates the table and says so.
 PRISM_SEARCH_PINS = {
     ("cycle", 6, 1, "t"): (35, (0, 3, 6, 9)),
     ("cycle", 6, 1, "r"): (35, (0, 3, 6, 9)),
-    ("cycle", 6, 2, "t"): (34, (0, 1, 2, 3, 4, 5, 6, 9)),
+    ("cycle", 6, 2, "t"): (38, (0, 1, 2, 3, 4, 5, 6, 9)),
     ("cycle", 6, 2, "r"): (4, (0, 1, 2, 3, 4, 5, 6, 9)),
     ("cycle", 7, 1, "t"): (52, (0, 1, 4, 7, 11)),
     ("cycle", 7, 1, "r"): (52, (0, 1, 4, 7, 11)),
-    ("cycle", 7, 2, "t"): (67, (0, 1, 2, 3, 4, 5, 6, 7, 10)),
+    ("cycle", 7, 2, "t"): (71, (0, 1, 2, 3, 4, 5, 6, 7, 10)),
     ("cycle", 7, 2, "r"): (4, (0, 1, 2, 3, 4, 5, 6, 7, 10)),
-    ("cycle", 8, 1, "t"): (89, (0, 1, 2, 4, 5, 9)),
-    ("cycle", 8, 1, "r"): (89, (0, 1, 2, 4, 5, 9)),
-    ("cycle", 8, 2, "t"): (84, (0, 1, 2, 3, 4, 5, 6, 7, 8, 11)),
+    ("cycle", 8, 1, "t"): (102, (0, 1, 2, 4, 5, 9)),
+    ("cycle", 8, 1, "r"): (102, (0, 1, 2, 4, 5, 9)),
+    ("cycle", 8, 2, "t"): (91, (0, 1, 2, 3, 4, 5, 6, 7, 8, 11)),
     ("cycle", 8, 2, "r"): (4, (0, 1, 2, 3, 4, 5, 6, 7, 8, 11)),
-    ("cycle", 9, 1, "t"): (82, (0, 1, 2, 5, 6, 10)),
-    ("cycle", 9, 1, "r"): (82, (0, 1, 2, 5, 6, 10)),
-    ("cycle", 9, 2, "t"): (113, (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 12)),
+    ("cycle", 9, 1, "t"): (86, (0, 1, 2, 5, 6, 10)),
+    ("cycle", 9, 1, "r"): (86, (0, 1, 2, 5, 6, 10)),
+    ("cycle", 9, 2, "t"): (127, (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 12)),
     ("cycle", 9, 2, "r"): (4, (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 12)),
-    ("path", 6, 1, "t"): (22, (1, 4, 7, 10)),
-    ("path", 6, 1, "r"): (21, (1, 4, 7, 10)),
+    ("path", 6, 1, "t"): (24, (1, 4, 7, 10)),
+    ("path", 6, 1, "r"): (23, (1, 4, 7, 10)),
     ("path", 6, 2, "t"): (20, (0, 1, 2, 3, 4, 5, 6, 11)),
     ("path", 6, 2, "r"): (5, (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)),
     ("path", 7, 1, "t"): (25, (0, 1, 4, 5, 7)),
@@ -99,7 +99,7 @@ def test_gamma_exact_prism_node_counts_pinned():
         res = gamma_exact(DominationQuery(g, k, variant))
         got[fam, n, k, v] = (res.nodes_explored, tuple(sorted(res.certificate)))
     assert got == PRISM_SEARCH_PINS
-    assert sum(nodes for nodes, _ in got.values()) == 1351
+    assert sum(nodes for nodes, _ in got.values()) == 1418
 
 
 def test_kernel_certificate_is_first_optimal_set():
@@ -149,21 +149,25 @@ def test_kernel_certificate_is_first_optimal_set_past_seven():
     assert cases == 268
 
 
-# k = 1 values and certificates (the lexicographically first optimal sets,
-# as the earlier fixed-order kernel found them) of two deep prisms; the node
+# values and certificates (the lexicographically first optimal sets, as the
+# earlier kernels found them) of two deep prisms at k = 1 and k = 2; the node
 # ceiling is the machine-independent check on the kernel's speed
 DEEP_PRISMS = {
-    "prism:cycle:16": (9, (0, 1, 4, 5, 8, 11, 12, 24, 30)),
-    "prism:path:20": (11, (1, 2, 5, 6, 9, 10, 13, 16, 17, 33, 39)),
+    ("prism:cycle:16", 1): (9, (0, 1, 4, 5, 8, 11, 12, 24, 30)),
+    ("prism:path:20", 1): (11, (1, 2, 5, 6, 9, 10, 13, 16, 17, 33, 39)),
+    ("prism:cycle:16", 2): (18, (*range(17), 19)),
+    ("prism:path:20", 2): (22, (*range(21), 39)),
 }
 
 
 @pytest.mark.parametrize("variant", [VARIANT_TOTAL, VARIANT_RESTRAINED])
-@pytest.mark.parametrize("family", sorted(DEEP_PRISMS))
-def test_deep_prism_solves_under_node_ceiling(family, variant):
-    res = gamma_exact(DominationQuery(family_graph(family), 1, variant),
+@pytest.mark.parametrize("family,k", sorted(DEEP_PRISMS), ids=[
+    family if k == 1 else f"{family}-k{k}" for family, k in sorted(DEEP_PRISMS)])
+def test_deep_prism_solves_under_node_ceiling(family, k, variant):
+    res = gamma_exact(DominationQuery(family_graph(family), k, variant),
                       Guards(gamma_n=40))
-    assert (res.value, tuple(sorted(res.certificate))) == DEEP_PRISMS[family]
+    assert (res.value, tuple(sorted(res.certificate))) == \
+        DEEP_PRISMS[family, k]
     assert res.nodes_explored <= 10_000
 
 
