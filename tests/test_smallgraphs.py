@@ -1,18 +1,130 @@
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
-from domlab.graphs import (build_graph, complement, complementary_prism,
+from domlab.graphs import (Graph, build_graph, complement, complementary_prism,
                            complete, corona_k1, cycle)
-from domlab.smallgraphs import all_graphs, canonical_code
+from domlab.smallgraphs import GRAPHS, all_graphs
 
 # number of non-isomorphic simple graphs on 1..7 vertices
 GRAPH_COUNTS = (1, 2, 4, 11, 34, 156, 1044)
 
 
+def _refine_colors(g: Graph) -> list[int]:
+    """Iterated neighbor-color refinement; returns a stable color per vertex."""
+    colors = [g.degree(v) for v in range(g.n)]
+    while True:
+        sigs = [(colors[v], tuple(sorted(colors[w] for w in g.adj[v])))
+                for v in range(g.n)]
+        ranking = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new = [ranking[s] for s in sigs]
+        if new == colors:
+            return colors
+        colors = new
+
+
+def canonical_code(g: Graph) -> tuple:
+    """Canonical form: lexicographically minimal adjacency rows over all
+    color-respecting vertex orderings, with prefix pruning. Two graphs are
+    isomorphic iff their codes are equal."""
+    if g.n == 0:
+        return (0,)
+    colors = _refine_colors(g)
+    n = g.n
+    masks = g.neighbor_masks()
+    # vertices must be placed in nondecreasing color order
+    by_color: dict[int, list[int]] = {}
+    for v in range(n):
+        by_color.setdefault(colors[v], []).append(v)
+    cells = [by_color[c] for c in sorted(by_color)]
+    slot_cell = []
+    for ci, cell in enumerate(cells):
+        slot_cell.extend([ci] * len(cell))
+
+    best: list[int] | None = None
+
+    def rec(pos: int, placed: list[int], used: set[int], rows: list[int]):
+        nonlocal best
+        if pos == n:
+            if best is None or rows < best:
+                best = list(rows)
+            return
+        for v in cells[slot_cell[pos]]:
+            if v in used:
+                continue
+            row = 0
+            for j, w in enumerate(placed):
+                if (masks[v] >> w) & 1:
+                    row |= 1 << j
+            rows.append(row)
+            prefix_ok = best is None or rows <= best[:pos + 1]
+            if prefix_ok:
+                placed.append(v)
+                used.add(v)
+                rec(pos + 1, placed, used, rows)
+                used.remove(v)
+                placed.pop()
+            rows.pop()
+
+    rec(0, [], set(), [])
+    assert best is not None
+    return (n, tuple(best))
+
+
+def generate_graph_lists(max_n: int) -> list[tuple[Graph, ...]]:
+    """The derivation of the shipped lists: the graphs on n vertices are the
+    (n-1)-vertex ones extended by a vertex n-1 joined to every subset of the
+    others, deduplicated by canonical code, first graph of a class kept."""
+    lists = [(build_graph(1, []),)]
+    for n in range(2, max_n + 1):
+        seen: dict[tuple, Graph] = {}
+        for base in lists[-1]:
+            base_edges = base.edges()
+            for nb in range(1 << (n - 1)):
+                edges = base_edges + [(w, n - 1) for w in range(n - 1)
+                                      if (nb >> w) & 1]
+                g = build_graph(n, edges)
+                seen.setdefault(canonical_code(g), g)
+        lists.append(tuple(seen.values()))
+    return lists
+
+
+def encode(g: Graph) -> str:
+    """One line of GRAPHS: n, then the row-major upper-triangle bits in hex."""
+    bits = 0
+    for i, (u, v) in enumerate(combinations(range(g.n), 2)):
+        if v in g.adj[u]:
+            bits |= 1 << i
+    return f"{g.n} {bits:x}\n"
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 def test_nonisomorphic_counts(n):
     assert len(all_graphs(n)) == GRAPH_COUNTS[n - 1]
+
+
+@pytest.mark.parametrize("n", [0, 8])
+def test_all_graphs_rejects_sizes_outside_the_lists(n):
+    with pytest.raises(ValueError, match="1 <= n <= 7"):
+        all_graphs(n)
+
+
+def test_shipped_lists_regenerate_byte_for_byte():
+    lists = generate_graph_lists(7)
+    assert "".join(encode(g) for graphs in lists for g in graphs) == GRAPHS
+    for n, graphs in enumerate(lists, start=1):
+        assert all_graphs(n) == graphs
+
+
+def test_shipped_lists_match_graph_atlas():
+    nx = pytest.importorskip("networkx")
+    atlas = Counter(canonical_code(build_graph(a.number_of_nodes(), a.edges()))
+                    for a in nx.graph_atlas_g() if 1 <= a.number_of_nodes() <= 7)
+    ours = Counter(canonical_code(g) for n in range(1, 8) for g in all_graphs(n))
+    # one graph per isomorphism class on both sides, and the same classes
+    assert set(atlas.values()) == {1} and set(ours.values()) == {1}
+    assert ours == atlas
 
 
 def test_canonical_code_invariant_under_relabeling():
