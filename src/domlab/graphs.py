@@ -6,6 +6,7 @@ Vertices are labeled 0..n-1 internally; 1-based labels appear only in I/O.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 BAR = "̄"  # combining macron, renders "3" + BAR as the complement-copy label
@@ -116,7 +117,16 @@ def complete_bipartite(a: int, b: int) -> Graph:
 
 
 def complete_multipartite(parts: Sequence[int]) -> Graph:
-    """K_{n1,...,np}: vertices grouped by part in order, edges across parts."""
+    """K_{n1,...,np}: vertices grouped by part in order, edges across parts.
+
+    The last few builds are kept and shared, since a Graph is immutable:
+    callers such as t0_exact ask for the same parts several times in a row.
+    """
+    return _complete_multipartite(tuple(parts))
+
+
+@lru_cache(maxsize=16)
+def _complete_multipartite(parts: tuple[int, ...]) -> Graph:
     if len(parts) < 1 or any(p < 1 for p in parts):
         raise ValueError(f"part sizes must be positive, got {list(parts)}")
     n = sum(parts)

@@ -1,8 +1,9 @@
 """Set predicates for k-tuple total (restrained) domination.
 
 All predicates are pure. They take plain vertex collections, except
-mask_is_ktds, which takes bitmasks for the solvers' inner loops. They are the
-single source of truth that the solvers and witness validation defer to.
+ktds_batch, which tests a whole batch of sets at once for the exhaustive
+scans: each vertex's column is a bitmask over the sets of the batch. They are
+the single source of truth that the solvers and witness validation defer to.
 """
 
 from __future__ import annotations
@@ -30,22 +31,51 @@ def is_ktrds(g: Graph, s: Iterable[int], k: int) -> bool:
     return not ktrds_failures(g, s, k)
 
 
-def mask_is_ktds(masks: Sequence[int], smask: int, k: int,
-                 restrained: bool) -> bool:
-    """Bitmask form of is_ktds (is_ktrds when restrained).
+def ktds_batch(adj: Sequence[Iterable[int]], cols: Sequence[int], full: int,
+               k: int, restrained: bool) -> int:
+    """Column form of is_ktds (is_ktrds when restrained) over a batch of sets.
 
-    masks[v] is the neighbor mask of vertex v and smask the mask of S. The
-    set forms (ktds_failures, ktrds_failures) stay the readable reference.
+    adj[v] holds the neighbours of vertex v, bit i of cols[u] is set iff
+    vertex u is in set i, and full has one bit per set. Returns the mask of
+    the sets that pass. For each vertex v, k saturating bit-sliced counters
+    add the columns of v's neighbours: bit i of plane j is set iff v has more
+    than j neighbours in set i, so the top plane marks the sets where v has
+    k. Restrained, the same counters over the complements full ^ cols[u]
+    count the neighbours outside each set, which only the sets without v
+    need. The set forms (ktds_failures, ktrds_failures) stay the readable
+    reference.
     """
-    for nb in masks:
-        if (nb & smask).bit_count() < k:
-            return False
+    # the counter loop is written out in both passes: a call per vertex
+    # would cost more than the loop itself on the sweep's small batches
+    top = k - 1
+    ok = full
+    for nbrs in adj:
+        planes = [0] * k
+        for u in nbrs:
+            x = cols[u]
+            j = top
+            while j:
+                planes[j] |= planes[j - 1] & x
+                j -= 1
+            planes[0] |= x
+        ok &= planes[top]
+        if not ok:
+            return 0
     if restrained:
-        outside = ~smask
-        for v, nb in enumerate(masks):
-            if not (smask >> v) & 1 and (nb & outside).bit_count() < k:
-                return False
-    return True
+        outs = list(map(full.__xor__, cols))
+        for v, nbrs in enumerate(adj):
+            planes = [0] * k
+            for u in nbrs:
+                x = outs[u]
+                j = top
+                while j:
+                    planes[j] |= planes[j - 1] & x
+                    j -= 1
+                planes[0] |= x
+            ok &= cols[v] | planes[top]
+            if not ok:
+                return 0
+    return ok
 
 
 def _is_partition_of(g: Graph, partition: Sequence[Iterable[int]], k: int,

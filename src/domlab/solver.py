@@ -1,13 +1,15 @@
 """Exact solvers: domination numbers, domatic numbers, multipartite t0.
 
 gamma_exact runs the branch-and-bound kernel _gamma_search. gamma_naive is the
-independent oracle: an unpruned scan of subset_masks with
-predicates.mask_is_ktds that shares nothing with the kernel except the
-predicates module. subset_masks is the one exhaustive subset loop; it also
-drives enumerate_optimal_sets and the sweep's property suite. t0_exact tests
-one set per vector of part counts, with the same predicate. domatic_exact and
-enumerate_domatic_partitions share one class-assignment search for both
-variants and re-check each partition it returns with is_ktrdp or is_ktdp.
+independent oracle: an unpruned scan of every subset that shares nothing with
+the kernel except the predicates module. subset_levels is the one exhaustive
+subset loop. It yields the subsets of each size as one batch of columns,
+which predicates.ktds_batch tests at once; it also drives
+enumerate_optimal_sets and the sweep's property suite. t0_exact tests one
+batch holding a set per vector of part counts, with the same predicate.
+domatic_exact and enumerate_domatic_partitions share one class-assignment
+search for both variants and re-check each partition it returns with
+is_ktrdp or is_ktdp.
 """
 
 from __future__ import annotations
@@ -15,11 +17,13 @@ from __future__ import annotations
 import os
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate, combinations, product
+from functools import lru_cache
+from itertools import accumulate
+from math import prod
 from typing import Iterator, Sequence
 
 from .graphs import Graph, complete_multipartite
-from .predicates import is_ktdp, is_ktds, is_ktrdp, is_ktrds, mask_is_ktds
+from .predicates import is_ktdp, is_ktds, is_ktrdp, is_ktrds, ktds_batch
 
 VARIANT_TOTAL = "total"
 VARIANT_RESTRAINED = "total-restrained"
@@ -112,22 +116,57 @@ def _guard(n: int, guards: Guards, field: str, what: str) -> None:
             f"pass Guards({field}=...); the CLI reads DOMLAB_GUARD_N)")
 
 
-def subset_masks(n: int) -> Iterator[int]:
-    """Every subset of range(n) as a bitmask, by increasing size and, within
-    a size, in the lexicographic order of combinations(range(n), size)."""
-    bits = [1 << v for v in range(n)]
+def subset_levels(n: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Every subset of range(n) as one batch per size, by increasing size.
+
+    Each batch is (count, cols): bit i of cols[u] is set iff vertex u is in
+    set i, and the sets run in the order of combinations(range(n), size).
+    Levels are built when first asked for and kept in a bounded cache.
+    """
     for size in range(n + 1):
-        for combo in combinations(bits, size):
-            yield sum(combo)
+        yield _level(n, size)
 
 
-def _vertices(mask: int) -> frozenset[int]:
+@lru_cache(maxsize=128)
+def _level(n: int, size: int) -> tuple[int, tuple[int, ...]]:
+    """The size-subsets of range(n) as (count, cols), by the Pascal recursion
+    on the first vertex: the sets containing it come first, then the ones
+    without it, each part over the remaining vertices in the same order.
+
+    row[t] holds the size-t subsets of the last m vertices, for the t that
+    can still reach size; earlier rows are dropped, so nothing but whole
+    levels outlives the call.
+    """
+    row = {0: (1, ())}
+    for m in range(1, n + 1):
+        none = (0, (0,) * (m - 1))
+        new = {}
+        for t in range(max(0, size - n + m), min(size, m) + 1):
+            a, inc = row.get(t - 1, none)
+            b, exc = row.get(t, none)
+            new[t] = (a + b, ((1 << a) - 1,
+                              *(x | y << a for x, y in zip(inc, exc))))
+        row = new
+    return row[size]
+
+
+def _bit_indices(mask: int) -> list[int]:
+    """The positions of the set bits of mask, ascending."""
     out = []
     while mask:
         low = mask & -mask
         out.append(low.bit_length() - 1)
         mask ^= low
-    return frozenset(out)
+    return out
+
+
+def _vertices(mask: int) -> frozenset[int]:
+    return frozenset(_bit_indices(mask))
+
+
+def _column_set(cols: Sequence[int], i: int) -> frozenset[int]:
+    """Set i of a batch of columns, as vertices."""
+    return frozenset(u for u, c in enumerate(cols) if c >> i & 1)
 
 
 def gamma_exact(q: DominationQuery,
@@ -146,7 +185,9 @@ def gamma_naive(q: DominationQuery,
                 guards: Guards = DEFAULT_GUARDS) -> SolveResult:
     """Independent oracle: unpruned subset scan in increasing cardinality.
 
-    The first set that passes is re-checked with the set-form predicate.
+    Each size is tested as one batch; the first set that passes, the lowest
+    bit of the first non-empty batch, is re-checked with the set-form
+    predicate. nodes_explored is its 1-based rank in the scan order.
     With minimum degree at least k the scan stops by V at the latest: V is
     then a kTDS, and a kTRDS because no vertex lies outside it.
     """
@@ -154,16 +195,19 @@ def gamma_naive(q: DominationQuery,
     _guard(g.n, guards, "naive_n", "gamma_naive")
     if g.min_degree < q.k:
         return SolveResult(False, None, None)
-    masks = g.neighbor_masks()
     k, restrained = q.k, q.restrained
-    for checked, smask in enumerate(subset_masks(g.n), 1):
-        if mask_is_ktds(masks, smask, k, restrained):
+    checked = 0
+    for count, cols in subset_levels(g.n):
+        hits = ktds_batch(g.adj, cols, (1 << count) - 1, k, restrained)
+        if hits:
             break
-    cert = _vertices(smask)
+        checked += count
+    first = (hits & -hits).bit_length() - 1
+    cert = _column_set(cols, first)
     if not (is_ktrds if restrained else is_ktds)(g, cert, k):
-        raise RuntimeError(f"gamma_naive: {sorted(cert)} passes the bitmask "
+        raise RuntimeError(f"gamma_naive: {sorted(cert)} passes the column "
                            "predicate but not the set form")
-    return SolveResult(True, len(cert), cert, checked)
+    return SolveResult(True, len(cert), cert, checked + first + 1)
 
 
 def enumerate_optimal_sets(q: DominationQuery,
@@ -173,15 +217,11 @@ def enumerate_optimal_sets(q: DominationQuery,
     _guard(g.n, guards, "naive_n", "enumerate_optimal_sets")
     if g.min_degree < q.k:
         return []
-    masks = g.neighbor_masks()
-    k, restrained = q.k, q.restrained
-    hits: list[int] = []
-    for smask in subset_masks(g.n):
-        if hits and smask.bit_count() > hits[0].bit_count():
-            break
-        if mask_is_ktds(masks, smask, k, restrained):
-            hits.append(smask)
-    return [_vertices(m) for m in hits]
+    for count, cols in subset_levels(g.n):
+        hits = ktds_batch(g.adj, cols, (1 << count) - 1, q.k, q.restrained)
+        if hits:
+            return [_column_set(cols, i) for i in _bit_indices(hits)]
+    return []
 
 
 def t0_exact(parts: Sequence[int], k: int,
@@ -189,30 +229,58 @@ def t0_exact(parts: Sequence[int], k: int,
     """Scan every kTRDS of the complete multipartite graph K_parts.
 
     Vertices of one part are twins, so whether S is a kTRDS depends only on
-    the counts c_i = |S ∩ part i|. The scan tests one set per count vector,
-    the first c_i vertices of each part, with mask_is_ktds. t(S) counts parts
-    not fully inside S; t0 is its minimum over proper kTRDS (the full vertex
-    set always has t = 0, so t0 = 0 exactly when no proper kTRDS exists, i.e.
-    gamma equals n).
+    the counts c_t = |S ∩ part t|. The scan tests one batch with a set per
+    count vector, in product order, holding the first c_t vertices of each
+    part. Vertex j of part t is in the sets whose c_t exceeds j: within each
+    block of vectors that share the counts of the parts before t, those
+    sets are one run of bits, so the column is that run repeated per block.
+    t(S) counts parts not fully inside S; t0 is its minimum over proper
+    kTRDS (the full vertex set always has t = 0, so t0 = 0 exactly when no
+    proper kTRDS exists, i.e. gamma equals n).
     """
     _guard(sum(parts), guards, "naive_n", "t0_exact")
     g = complete_multipartite(parts)
     if g.min_degree < k:
         raise ValueError(f"K_{tuple(parts)} has min degree {g.min_degree} "
                          f"< k={k}")
-    masks = g.neighbor_masks()
-    starts = [sum(parts[:i]) for i in range(len(parts))]
-    gamma = g.n
+    total = prod(p + 1 for p in parts)
+    full = (1 << total) - 1
+    cols = []
+    block = total
+    for p in parts:
+        run = block // (p + 1)
+        repunit = full // ((1 << block) - 1)
+        cols.extend((((1 << (p - j) * run) - 1) << (j + 1) * run) * repunit
+                    for j in range(p))
+        block = run
+    hits = ktds_batch(g.adj, cols, full, k, True)
+    # only the last vector fills every part, and a part is not full where
+    # its last vertex is missing
+    proper = hits & full >> 1
     t0 = 0
-    for counts in product(*(range(p + 1) for p in parts)):
-        smask = sum(((1 << c) - 1) << a for c, a in zip(counts, starts))
-        if not mask_is_ktds(masks, smask, k, True):
-            continue
-        gamma = min(gamma, sum(counts))
-        t = sum(c < p for c, p in zip(counts, parts))
-        if t and (not t0 or t < t0):
-            t0 = t
-    return MultipartiteAnalysis(t0, gamma)
+    if proper:
+        t0 = _least_count([full ^ cols[end - 1] for end in accumulate(parts)],
+                          proper)
+    return MultipartiteAnalysis(t0, _least_count(cols, hits))
+
+
+def _least_count(columns: Sequence[int], among: int) -> int:
+    """The least number of columns with bit i set, over the set bits i of
+    among (not 0). The columns are summed into bit-sliced counters, plane p
+    holding bit p of every count, which are read from the top plane down."""
+    planes: list[int] = []
+    for x in columns:
+        for p, plane in enumerate(planes):
+            planes[p], x = plane ^ x, plane & x
+        if x:
+            planes.append(x)
+    least = 0
+    for p in reversed(range(len(planes))):
+        if among & ~planes[p]:
+            among &= ~planes[p]
+        else:
+            least |= 1 << p
+    return least
 
 
 def domatic_exact(q: DominationQuery,

@@ -12,18 +12,20 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations_with_replacement
+from operator import and_
 
 from . import formulas
 from .family_spec import family_graph
 from .graphs import Graph, build_graph, complement, complementary_prism, complete, cycle
-from .predicates import is_ktdp, mask_is_ktds
+from .predicates import is_ktdp, ktds_batch
 from .smallgraphs import all_graphs
 from .solver import (VARIANT_RESTRAINED as RESTRAINED,
                      VARIANT_TOTAL as TOTAL, DominationQuery, SolveResult,
                      domatic_exact, enumerate_domatic_partitions,
                      enumerate_optimal_sets, gamma_exact, gamma_naive,
-                     subset_masks, t0_exact)
+                     subset_levels, t0_exact)
 from .witnesses import (validate_witness, witness_complement_cycle,
                         witness_complement_path, witness_cycle_trds,
                         witness_prism_cycle_domatic_pair,
@@ -463,11 +465,13 @@ def check_properties(seed: int, random_count: int) -> list[Row]:
                 capb = formulas.f_domatic_caps(n, k, bipartite=True)
                 prop("domatic-cap-bipartite", dr.value <= capb.upper_int,
                      str(dr.value), capb.render())
-            low = sum(1 << v for v in range(n) if g.degree(v) <= 2 * k - 1)
+            low = [v for v in range(n) if g.degree(v) <= 2 * k - 1]
             if n <= 8 and low:
-                masks = g.neighbor_masks()
-                ok = all(smask & low == low for smask in subset_masks(n)
-                         if mask_is_ktds(masks, smask, k, True))
+                # per size, the kTRDS hits must lie in every low column
+                ok = not any(
+                    ktds_batch(g.adj, cols, (1 << count) - 1, k, True)
+                    & ~reduce(and_, (cols[v] for v in low))
+                    for count, cols in subset_levels(n))
                 prop("low-degree-in-every-set", ok, "all kTRDS",
                      "contain low-degree vertices")
             # holds by construction, not evidence: min_degree // k <= 1

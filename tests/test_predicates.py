@@ -2,8 +2,9 @@ import pytest
 
 from domlab.graphs import build_graph, complete, cycle
 from domlab.predicates import (is_ktdp, is_ktds, is_ktrdp, is_ktrds,
-                               ktds_failures, ktrds_failures, mask_is_ktds)
+                               ktds_batch, ktds_failures, ktrds_failures)
 from domlab.smallgraphs import all_graphs
+from domlab.solver import subset_levels
 
 
 def test_ktds_basic_cycle():
@@ -56,13 +57,17 @@ def test_out_of_range_vertices_rejected():
 
 
 def test_mask_predicate_matches_set_predicates():
+    # every bit of every level, read back as a vertex set
     for n in range(1, 7):
+        levels = list(subset_levels(n))
         for g in all_graphs(n):
-            masks = g.neighbor_masks()
-            for smask in range(1 << n):
-                s = [v for v in range(n) if (smask >> v) & 1]
+            for count, cols in levels:
+                full = (1 << count) - 1
+                sets = [[u for u in range(n) if cols[u] >> i & 1]
+                        for i in range(count)]
                 for k in (1, 2, 3):
-                    assert mask_is_ktds(masks, smask, k, False) == \
-                        is_ktds(g, s, k)
-                    assert mask_is_ktds(masks, smask, k, True) == \
-                        is_ktrds(g, s, k)
+                    for restrained, pred in ((False, is_ktds),
+                                             (True, is_ktrds)):
+                        hits = ktds_batch(g.adj, cols, full, k, restrained)
+                        assert hits == sum(1 << i for i, s in enumerate(sets)
+                                           if pred(g, s, k))

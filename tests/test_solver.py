@@ -1,6 +1,6 @@
 import random
 from dataclasses import fields
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -9,15 +9,14 @@ from domlab.formulas import f_domatic_complete
 from domlab.graphs import (complement, complementary_prism, complete,
                            complete_bipartite, complete_multipartite, cycle,
                            path)
-from domlab.predicates import (is_ktdp, is_ktds, is_ktrdp, is_ktrds,
-                               mask_is_ktds)
+from domlab.predicates import is_ktdp, is_ktds, is_ktrdp, is_ktrds
 from domlab.smallgraphs import all_graphs
 from domlab.solver import (VARIANT_RESTRAINED, VARIANT_TOTAL,
                            DominationQuery, Guards, GuardExceeded,
                            active_backend, domatic_exact,
                            enumerate_domatic_partitions,
                            enumerate_optimal_sets, gamma_exact, gamma_naive,
-                           t0_exact)
+                           subset_levels, t0_exact)
 from domlab.verify import random_graph
 
 
@@ -184,6 +183,51 @@ def test_naive_certificate_is_valid_and_minimum_sized():
                 assert pred(g, res.certificate, k)
 
 
+def _first_set_by_combinations(g, k, pred):
+    """(size, set, 1-based rank) of the first set in combinations order,
+    size by size, that pred accepts; None when no set does."""
+    rank = 0
+    for size in range(g.n + 1):
+        for s in combinations(range(g.n), size):
+            rank += 1
+            if pred(g, s, k):
+                return size, frozenset(s), rank
+    return None
+
+
+def test_naive_matches_combinations_scan():
+    # value, certificate and subset count (the first hit's rank) against a
+    # from-scratch scan that shares nothing with the column predicate
+    rng = random.Random(14)
+    seeded = [random_graph(rng, n, p) for n in (8, 9, 10) for p in (0.4, 0.6)]
+    cases = 0
+    for g in [g for n in range(1, 7) for g in all_graphs(n)] + seeded:
+        for k in (1, 2, 3):
+            for variant, pred in ((VARIANT_TOTAL, is_ktds),
+                                  (VARIANT_RESTRAINED, is_ktrds)):
+                res = gamma_naive(DominationQuery(g, k, variant))
+                want = _first_set_by_combinations(g, k, pred)
+                if want is None:
+                    assert not res.feasible, (g.edges(), k, variant)
+                    continue
+                assert (res.value, res.certificate, res.nodes_explored) == \
+                    want, (g.edges(), k, variant)
+                cases += 1
+    assert cases == 534
+
+
+def test_subset_levels_run_in_combinations_order():
+    for n in range(11):
+        levels = list(subset_levels(n))
+        assert len(levels) == n + 1
+        for size, (count, cols) in enumerate(levels):
+            assert len(cols) == n
+            assert all(c >> count == 0 for c in cols)
+            got = [tuple(u for u in range(n) if cols[u] >> i & 1)
+                   for i in range(count)]
+            assert got == list(combinations(range(n), size))
+
+
 def test_enumerate_optimal_sets_cycle():
     q = DominationQuery(cycle(4), 1)
     sets = enumerate_optimal_sets(q)
@@ -275,18 +319,17 @@ def test_t0_zero_iff_gamma_n():
 def _t0_by_subsets(parts, k):
     """t0 and gamma of K_parts from all 2^n vertex subsets."""
     g = complete_multipartite(parts)
-    masks = g.neighbor_masks()
-    part_masks, start = [], 0
+    blocks, start = [], 0
     for p in parts:
-        part_masks.append(((1 << p) - 1) << start)
+        blocks.append(set(range(start, start + p)))
         start += p
-    full = (1 << g.n) - 1
     sizes, ts = [], []
-    for smask in range(1, full + 1):
-        if mask_is_ktds(masks, smask, k, True):
-            sizes.append(smask.bit_count())
-            if smask != full:
-                ts.append(sum(1 for pm in part_masks if pm & ~smask))
+    for r in range(1, g.n + 1):
+        for s in map(set, combinations(range(g.n), r)):
+            if is_ktrds(g, s, k):
+                sizes.append(r)
+                if r < g.n:
+                    ts.append(sum(1 for b in blocks if b - s))
     return min(ts, default=0), min(sizes)
 
 
