@@ -169,15 +169,21 @@ def _column_set(cols: Sequence[int], i: int) -> frozenset[int]:
     return frozenset(u for u, c in enumerate(cols) if c >> i & 1)
 
 
-def gamma_exact(q: DominationQuery,
-                guards: Guards = DEFAULT_GUARDS) -> SolveResult:
-    """Minimum kTDS/kTRDS size via the pruned search (_gamma_search)."""
+def gamma_exact(q: DominationQuery, guards: Guards = DEFAULT_GUARDS, *,
+                lex_first: bool = True) -> SolveResult:
+    """Minimum kTDS/kTRDS size via the pruned search (_gamma_search).
+
+    The certificate is the first minimum set in enumerate_optimal_sets'
+    order. With lex_first=False it is the minimum set the search happened
+    to find, which saves the certificate pass; callers that read only the
+    value pass that. The value is the same either way.
+    """
     g = q.graph
     _guard(g.n, guards, "gamma_n", "gamma_exact")
     if g.min_degree < q.k:
         return SolveResult(False, None, None)
     value, cert_mask, nodes = _gamma_search(g.neighbor_masks(), q.k,
-                                            q.restrained)
+                                            q.restrained, lex_first)
     return SolveResult(True, value, _vertices(cert_mask), nodes)
 
 
@@ -331,12 +337,13 @@ def _partition(q: DominationQuery,
     return part
 
 
-def _gamma_search(masks: Sequence[int], k: int,
-                  restrained: bool) -> tuple[int, int, int]:
+def _gamma_search(masks: Sequence[int], k: int, restrained: bool,
+                  lex_first: bool) -> tuple[int, int, int]:
     """Minimum size of a kTDS (kTRDS when restrained) over the adjacency
     bitmasks; returns (value, certificate mask, nodes), the certificate being
-    the first minimum set in enumerate_optimal_sets' order. The caller
-    ensures n >= 1 and minimum degree >= k.
+    the first minimum set in enumerate_optimal_sets' order when lex_first,
+    else the first minimum set the deepening finds. The caller ensures
+    n >= 1 and minimum degree >= k.
 
     Iterative deepening over the size s. A node (a call of search) holds S,
     the excluded set X, the budget b = s - |S| and bit-sliced counters cov:
@@ -363,7 +370,8 @@ def _gamma_search(masks: Sequence[int], k: int,
     deficient vertices with pairwise disjoint undecided neighbourhoods need
     more than b inclusions (packing).
 
-    Certificate: at s = gamma, with the witness w found, vertices are
+    Certificate: without lex_first the witness w that the deepening finds
+    at s = gamma is returned as it is. With lex_first, vertices are then
     decided in index order. The first undecided vertex below w's last one
     and not in w is tried by one search, with w's vertices below it
     included: on a hit it joins S and the hit becomes w, else it is
@@ -494,6 +502,8 @@ def _gamma_search(masks: Sequence[int], k: int,
             if w >= 0:
                 break
         s += 1
+    if not lex_first:
+        return (s, w, nodes)
 
     # w is a witness; the vertices below a gap are decided, so the first
     # gap (a vertex outside w below w's last vertex) is tried with a search

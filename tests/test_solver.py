@@ -104,7 +104,7 @@ def test_gamma_exact_prism_node_counts_pinned():
 def test_kernel_certificate_is_first_optimal_set():
     # soundness and order of every prune: the kernel's certificate is the
     # lexicographically first minimum set of the exhaustive scan
-    cases = 0
+    cases = saved = 0
     for n in range(2, 8):
         for g in all_graphs(n):
             for k in (1, 2, 3):
@@ -114,8 +114,21 @@ def test_kernel_certificate_is_first_optimal_set():
                     q = DominationQuery(g, k, variant)
                     assert gamma_exact(q).certificate == \
                         enumerate_optimal_sets(q)[0], (g.edges(), k, variant)
+                    saved += _check_value_only_solve(q)
                     cases += 1
-    assert cases == 3606
+    assert cases == 3606 and saved > 0
+
+
+def _check_value_only_solve(q) -> int:
+    """lex_first=False: the same value, a minimum set of the variant as the
+    certificate, and no more nodes than the lex-first solve; returns the
+    nodes it saves."""
+    full, fast = gamma_exact(q), gamma_exact(q, lex_first=False)
+    is_set = is_ktrds if q.restrained else is_ktds
+    assert fast.value == full.value == len(fast.certificate)
+    assert is_set(q.graph, fast.certificate, q.k)
+    assert fast.nodes_explored <= full.nodes_explored
+    return full.nodes_explored - fast.nodes_explored
 
 
 def _certificate_cases_past_seven():
@@ -138,14 +151,15 @@ def _certificate_cases_past_seven():
 def test_kernel_certificate_is_first_optimal_set_past_seven():
     # the certificate pass, not the search order, makes the certificate
     # lexicographically first; these graphs are larger than all_graphs' lists
-    cases = 0
+    cases = saved = 0
     for g, k in _certificate_cases_past_seven():
         for variant in (VARIANT_TOTAL, VARIANT_RESTRAINED):
             q = DominationQuery(g, k, variant)
             assert gamma_exact(q).certificate == \
                 enumerate_optimal_sets(q)[0], (g.edges(), k, variant)
+            saved += _check_value_only_solve(q)
             cases += 1
-    assert cases == 268
+    assert cases == 268 and saved > 0
 
 
 # values and certificates (the lexicographically first optimal sets, as the

@@ -45,6 +45,26 @@ def test_prism_oracle_disagreement_keeps_the_row_note(monkeypatch):
         "oracle disagrees with kernel"
     confirm = rows["prism:cycle:4|k=2|regular-window|oracle-confirm"]
     assert (confirm.solver, confirm.match) == ("-1", False)
+    # only the kernel rows are confirmed, not the confirm rows themselves
+    assert "confirmed" not in confirm.note
+    assert not any(i.endswith("|oracle-confirm|oracle-confirm") for i in rows)
+
+
+def test_sweep_asks_gamma_exact_for_values_only(monkeypatch):
+    # the sweep reads only values, so every call skips the certificate pass
+    flags = []
+    real = verify.gamma_exact
+
+    def recording(q, *args, **kw):
+        flags.append(kw.get("lex_first", True))
+        return real(q, *args, **kw)
+
+    monkeypatch.setattr(verify, "gamma_exact", recording)
+    for section in ("complete", "multipartite", "prisms", "sandwich"):
+        verify.SECTIONS[section]()
+    verify.check_oracle(7, 3)
+    verify.check_properties(7, 3)
+    assert len(flags) > 1000 and not any(flags)
 
 
 def _module_constant(path: Path, name: str):
