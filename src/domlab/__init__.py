@@ -10,7 +10,8 @@ from .graphs import (Graph, build_graph, complement, complementary_prism,
 from .predicates import is_ktdp, is_ktds, is_ktrdp, is_ktrds
 from .solver import (DominationQuery, Guards, GuardExceeded, SolveResult,
                      active_backend, domatic_exact, enumerate_domatic_partitions,
-                     enumerate_optimal_sets, gamma_exact, gamma_naive, t0_exact)
+                     enumerate_optimal_sets, gamma_exact, gamma_naive,
+                     gamma_naive_all, t0_exact)
 from .verify import Report, SweepConfig, run_sweep
 from .witnesses import validate_witness
 
@@ -24,6 +25,6 @@ __all__ = [
     "is_ktds", "is_ktrdp", "is_ktrds", "DominationQuery", "Guards",
     "GuardExceeded", "SolveResult", "active_backend", "domatic_exact",
     "enumerate_domatic_partitions", "enumerate_optimal_sets", "gamma_exact",
-    "gamma_naive", "t0_exact", "Report", "SweepConfig", "run_sweep",
-    "validate_witness", "__version__",
+    "gamma_naive", "gamma_naive_all", "t0_exact", "Report", "SweepConfig",
+    "run_sweep", "validate_witness", "__version__",
 ]

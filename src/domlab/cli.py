@@ -115,8 +115,13 @@ def _print_stats(args, work: str, res, ms: float) -> None:
 def _cmd_gamma(args) -> int:
     g = _load_graph(args)
     q = DominationQuery(g, args.k, args.variant)
-    solve = gamma_naive if args.naive else gamma_exact
-    res, ms = _timed(solve, q, Guards.from_env())
+    if args.naive:
+        res, ms = _timed(gamma_naive, q, Guards.from_env())
+    else:
+        # the certificate pass makes the printed certificate the first
+        # optimal set, and --stats counts its nodes; a plain value skips it
+        res, ms = _timed(gamma_exact, q, Guards.from_env(),
+                         lex_first=args.certificate or args.stats)
     if not res.feasible:
         print(f"infeasible: min degree {g.min_degree} < k={args.k}")
         return EXIT_INFEASIBLE

@@ -32,23 +32,32 @@ def is_ktrds(g: Graph, s: Iterable[int], k: int) -> bool:
 
 
 def ktds_batch(adj: Sequence[Iterable[int]], cols: Sequence[int], full: int,
-               k: int, restrained: bool) -> int:
-    """Column form of is_ktds (is_ktrds when restrained) over a batch of sets.
+               k: int, lo: int,
+               restrained: bool) -> tuple[list[int], list[int]]:
+    """Column form of is_ktds and is_ktrds over a batch of sets, for every
+    k' from lo to k at once.
 
     adj[v] holds the neighbours of vertex v, bit i of cols[u] is set iff
-    vertex u is in set i, and full has one bit per set. Returns the mask of
-    the sets that pass. For each vertex v, k saturating bit-sliced counters
-    add the columns of v's neighbours: bit i of plane j is set iff v has more
-    than j neighbours in set i, so the top plane marks the sets where v has
-    k. Restrained, the same counters over the complements full ^ cols[u]
-    count the neighbours outside each set, which only the sets without v
-    need. The set forms (ktds_failures, ktrds_failures) stay the readable
-    reference.
+    vertex u is in set i, and full has one bit per set. Returns (total,
+    restr): total[k' - lo] masks the sets that are k'-tuple total dominating
+    sets, and restr[k' - lo], when restrained, the ones that are also
+    restrained (restr is empty otherwise). For each vertex v, k saturating
+    bit-sliced counters add the columns of v's neighbours: bit i of plane j
+    is set iff v has more than j neighbours in set i, so plane k' - 1 marks
+    the sets where v has k'. Restrained, the same counters over the
+    complements count the neighbours outside each set, which only the sets
+    without v need, and only over the survivors, the sets that pass for lo.
+    Every mask lies inside the one for lo, so each pass stops once that
+    mask is empty. The set forms (ktds_failures, ktrds_failures) stay the
+    readable reference.
     """
     # the counter loop is written out in both passes: a call per vertex
-    # would cost more than the loop itself on the sweep's small batches
+    # would cost more than the loop itself on the sweep's small batches.
+    # ok is the mask for lo; more[j] the one for lo + 1 + j, which is
+    # narrowed first, so that it lies inside ok whenever the pass stops
     top = k - 1
     ok = full
+    more = [full] * (k - lo)
     for nbrs in adj:
         planes = [0] * k
         for u in nbrs:
@@ -58,11 +67,17 @@ def ktds_batch(adj: Sequence[Iterable[int]], cols: Sequence[int], full: int,
                 planes[j] |= planes[j - 1] & x
                 j -= 1
             planes[0] |= x
-        ok &= planes[top]
+        for j in range(k - lo):
+            more[j] &= planes[lo + j]
+        ok &= planes[lo - 1]
         if not ok:
-            return 0
-    if restrained:
-        outs = list(map(full.__xor__, cols))
+            break
+    total = [ok, *more]
+    if not restrained:
+        return total, []
+    # the restrained pass narrows the same masks further
+    if ok:
+        outs = [ok & ~c for c in cols]
         for v, nbrs in enumerate(adj):
             planes = [0] * k
             for u in nbrs:
@@ -72,10 +87,13 @@ def ktds_batch(adj: Sequence[Iterable[int]], cols: Sequence[int], full: int,
                     planes[j] |= planes[j - 1] & x
                     j -= 1
                 planes[0] |= x
-            ok &= cols[v] | planes[top]
+            cv = cols[v]
+            for j in range(k - lo):
+                more[j] &= cv | planes[lo + j]
+            ok &= cv | planes[lo - 1]
             if not ok:
-                return 0
-    return ok
+                break
+    return total, [ok, *more]
 
 
 def _is_partition_of(g: Graph, partition: Sequence[Iterable[int]], k: int,

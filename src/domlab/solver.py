@@ -2,11 +2,14 @@
 
 gamma_exact runs the branch-and-bound kernel _gamma_search. gamma_naive is the
 independent oracle: an unpruned scan of every subset that shares nothing with
-the kernel except the predicates module. subset_levels is the one exhaustive
-subset loop. It yields the subsets of each size as one batch of columns,
-which predicates.ktds_batch tests at once; it also drives
-enumerate_optimal_sets and the sweep's property suite. t0_exact tests one
-batch holding a set per vector of part counts, with the same predicate.
+the kernel except the predicates module. gamma_naive_all runs the same scan
+once for every k up to a bound and both variants of one graph, and
+gamma_naive is its one-pair case. subset_levels is the one exhaustive subset
+loop. It yields the subsets by increasing size in batches of columns, whole
+sizes joined until a batch holds BATCH_SETS sets, which
+predicates.ktds_batch tests at once for every k it is asked for; it also
+drives enumerate_optimal_sets and the sweep's property suite. t0_exact tests
+one batch holding a set per vector of part counts, with the same predicate.
 domatic_exact and enumerate_domatic_partitions share one class-assignment
 search for both variants and re-check each partition it returns with
 is_ktrdp or is_ktdp.
@@ -19,7 +22,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from math import prod
+from math import comb, prod
 from typing import Iterator, Sequence
 
 from .graphs import Graph, complete_multipartite
@@ -27,6 +30,15 @@ from .predicates import is_ktdp, is_ktds, is_ktrdp, is_ktrds, ktds_batch
 
 VARIANT_TOTAL = "total"
 VARIANT_RESTRAINED = "total-restrained"
+
+# the fewest sets a subset batch holds, the last batch aside. ktds_batch
+# pays a fixed interpreter cost per vertex and neighbour whatever the batch
+# width, and below a few thousand sets that cost outweighs the bit operations,
+# so small sizes are joined (every n <= 12 is one batch). A batch ends at the
+# first size that takes it to this many sets, so on a large n every size past
+# the first few is a batch of its own, and a scan builds and tests little
+# past the size where it stops.
+BATCH_SETS = 4096
 
 
 def active_backend() -> str:
@@ -117,17 +129,34 @@ def _guard(n: int, guards: Guards, field: str, what: str) -> None:
 
 
 def subset_levels(n: int) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Every subset of range(n) as one batch per size, by increasing size.
+    """Every subset of range(n), by increasing size, as batches (count, cols).
 
-    Each batch is (count, cols): bit i of cols[u] is set iff vertex u is in
-    set i, and the sets run in the order of combinations(range(n), size).
-    Levels are built when first asked for and kept in a bounded cache.
+    Bit i of cols[u] is set iff vertex u is in set i of the batch. The sets
+    of each size run in the order of combinations(range(n), size), and
+    consecutive sizes are joined into one batch until it holds at least
+    BATCH_SETS sets (so every n <= 12 is one batch). Batches are built when
+    first asked for and kept in a bounded cache.
     """
-    for size in range(n + 1):
-        yield _level(n, size)
+    size = 0
+    while size <= n:
+        count, cols, size = _batch(n, size)
+        yield count, cols
 
 
 @lru_cache(maxsize=128)
+def _batch(n: int, size: int) -> tuple[int, tuple[int, ...], int]:
+    """The batch that starts with the size-subsets of range(n), as
+    (count, cols, the size the next batch starts with)."""
+    count, cols = _level(n, size)
+    size += 1
+    while size <= n and count < BATCH_SETS:
+        more, level = _level(n, size)
+        cols = tuple(x | y << count for x, y in zip(cols, level))
+        count += more
+        size += 1
+    return count, cols, size
+
+
 def _level(n: int, size: int) -> tuple[int, tuple[int, ...]]:
     """The size-subsets of range(n) as (count, cols), by the Pascal recursion
     on the first vertex: the sets containing it come first, then the ones
@@ -191,29 +220,68 @@ def gamma_naive(q: DominationQuery,
                 guards: Guards = DEFAULT_GUARDS) -> SolveResult:
     """Independent oracle: unpruned subset scan in increasing cardinality.
 
-    Each size is tested as one batch; the first set that passes, the lowest
-    bit of the first non-empty batch, is re-checked with the set-form
-    predicate. nodes_explored is its 1-based rank in the scan order.
-    With minimum degree at least k the scan stops by V at the latest: V is
-    then a kTDS, and a kTRDS because no vertex lies outside it.
+    The certificate is the first set of the variant in subset_levels'
+    order, found by the scan gamma_naive_all runs for many pairs at once
+    (_naive_scan); nodes_explored is its 1-based rank in that order.
     """
-    g = q.graph
+    return _naive_scan(q.graph, (q.k,), (q.variant,), guards)[q.k, q.variant]
+
+
+def gamma_naive_all(g: Graph, kmax: int, guards: Guards = DEFAULT_GUARDS
+                    ) -> dict[tuple[int, str], SolveResult]:
+    """gamma_naive's result for every k <= kmax and both variants of g,
+    keyed by (k, variant), from one scan of the subsets."""
+    if kmax < 1:
+        raise ValueError("kmax must be >= 1")
+    return _naive_scan(g, range(1, kmax + 1),
+                       (VARIANT_TOTAL, VARIANT_RESTRAINED), guards)
+
+
+def _naive_scan(g: Graph, ks: Sequence[int], variants: Sequence[str],
+                guards: Guards) -> dict[tuple[int, str], SolveResult]:
+    """The first set of each (k, variant) pair in one scan of
+    subset_levels(g.n).
+
+    Each batch is tested with one ktds_batch call for every k still open,
+    from the least to the greatest. A pair's first set is the lowest bit of
+    its mask in the first batch where that is not empty; it is re-checked
+    with the set-form predicate, and its rank is the count of sets in the
+    batches before plus the bit's index plus 1. The scan ends once every
+    pair has its set. With minimum degree at least k that happens by V at
+    the latest: V is then a kTDS, and a kTRDS because no vertex lies outside
+    it. Pairs with minimum degree below k are infeasible and never open.
+    """
     _guard(g.n, guards, "naive_n", "gamma_naive")
-    if g.min_degree < q.k:
-        return SolveResult(False, None, None)
-    k, restrained = q.k, q.restrained
+    infeasible = SolveResult(False, None, None)
+    out = {(k, v): infeasible for k in ks for v in variants}
+    todo = [(k, v) for k, v in out if k <= g.min_degree]
+    if not todo:
+        return out
     checked = 0
     for count, cols in subset_levels(g.n):
-        hits = ktds_batch(g.adj, cols, (1 << count) - 1, k, restrained)
-        if hits:
+        lo = min(k for k, _ in todo)
+        total, restr = ktds_batch(
+            g.adj, cols, (1 << count) - 1, max(k for k, _ in todo), lo,
+            any(v == VARIANT_RESTRAINED for _, v in todo))
+        left = []
+        for k, v in todo:
+            restrained = v == VARIANT_RESTRAINED
+            hits = (restr if restrained else total)[k - lo]
+            if not hits:
+                left.append((k, v))
+                continue
+            first = (hits & -hits).bit_length() - 1
+            cert = _column_set(cols, first)
+            if not (is_ktrds if restrained else is_ktds)(g, cert, k):
+                raise RuntimeError(f"gamma_naive: {sorted(cert)} passes the "
+                                   "column predicate but not the set form")
+            out[k, v] = SolveResult(True, len(cert), cert,
+                                    checked + first + 1)
+        todo = left
+        if not todo:
             break
         checked += count
-    first = (hits & -hits).bit_length() - 1
-    cert = _column_set(cols, first)
-    if not (is_ktrds if restrained else is_ktds)(g, cert, k):
-        raise RuntimeError(f"gamma_naive: {sorted(cert)} passes the column "
-                           "predicate but not the set form")
-    return SolveResult(True, len(cert), cert, checked + first + 1)
+    return out
 
 
 def enumerate_optimal_sets(q: DominationQuery,
@@ -224,9 +292,17 @@ def enumerate_optimal_sets(q: DominationQuery,
     if g.min_degree < q.k:
         return []
     for count, cols in subset_levels(g.n):
-        hits = ktds_batch(g.adj, cols, (1 << count) - 1, q.k, q.restrained)
+        total, restr = ktds_batch(g.adj, cols, (1 << count) - 1, q.k, q.k,
+                                  q.restrained)
+        hits = (restr if q.restrained else total)[0]
         if hits:
-            return [_column_set(cols, i) for i in _bit_indices(hits)]
+            # the batch may run over several sizes: keep the hits of the
+            # lowest hit's size, whose sets end where the next size starts
+            size = len(_column_set(cols, (hits & -hits).bit_length() - 1))
+            end = sum(comb(g.n, t)
+                      for t in range(len(_column_set(cols, 0)), size + 1))
+            return [_column_set(cols, i)
+                    for i in _bit_indices(hits & ((1 << end) - 1))]
     return []
 
 
@@ -259,7 +335,7 @@ def t0_exact(parts: Sequence[int], k: int,
         cols.extend((((1 << (p - j) * run) - 1) << (j + 1) * run) * repunit
                     for j in range(p))
         block = run
-    hits = ktds_batch(g.adj, cols, full, k, True)
+    hits = ktds_batch(g.adj, cols, full, k, k, True)[1][0]
     # only the last vector fills every part, and a part is not full where
     # its last vertex is missing
     proper = hits & full >> 1

@@ -1,10 +1,9 @@
 """Full verification sweep: families, bounds, witnesses, theorem suites.
 
 Each check_* function returns Report rows; run_sweep assembles the report the
-CLI writes. Discrepancies are recorded, never silently corrected. Two known
-open questions are allowlisted (reported but non-fatal): the n > 7 case of
-the prism-cycle domatic-pair construction, and the 2n corollary for regular
-prisms whose statement omits the "total" qualifier.
+CLI writes. Discrepancies are recorded, never silently corrected. One known
+open question is allowlisted (reported but non-fatal): the n > 7 case of the
+prism-cycle domatic-pair construction.
 
 The sweep reads only values from gamma_exact, so every call passes
 lex_first=False and skips the kernel's certificate pass.
@@ -28,7 +27,7 @@ from .solver import (VARIANT_RESTRAINED as RESTRAINED,
                      VARIANT_TOTAL as TOTAL, DominationQuery, SolveResult,
                      domatic_exact, enumerate_domatic_partitions,
                      enumerate_optimal_sets, gamma_exact, gamma_naive,
-                     subset_levels, t0_exact)
+                     gamma_naive_all, subset_levels, t0_exact)
 from .witnesses import (validate_witness, witness_complement_cycle,
                         witness_complement_path, witness_cycle_trds,
                         witness_prism_cycle_domatic_pair,
@@ -233,7 +232,6 @@ def check_prisms() -> list[Row]:
         verdict = formulas.f_prism_regular_lb(n, 2, 2)
         row = _gamma_row(f"prism:cycle:{n}|k=2|regular-window",
                          f"prism:cycle:{n}", cg, 2, RESTRAINED, verdict)
-        row.allowlisted = verdict.value is not None
         row.note = "2n corollary read as total-restrained"
         rows.append(row)
     # any stated value the kernel contradicts gets an independent
@@ -367,41 +365,44 @@ def check_oracle(seed: int, random_count: int) -> list[Row]:
     """gamma_exact vs gamma_naive: exhaustive n <= 7, randomized 8..12.
 
     Exhaustive buckets aggregate to one row per (n, k, variant); mismatches
-    get their own rows.
+    get their own rows. One gamma_naive_all scan per graph answers every
+    (k, variant) pair.
     """
+    pairs = [(k, variant) for k in range(1, 4)
+             for variant in (TOTAL, RESTRAINED)]
     rows = []
     for n in range(2, 8):
-        graphs = all_graphs(n)
-        for k in range(1, 4):
-            for variant in (TOTAL, RESTRAINED):
-                mism = 0
-                checked = 0
-                for g in graphs:
-                    if g.min_degree < k:
-                        continue
-                    checked += 1
-                    q = DominationQuery(g, k, variant)
-                    if (gamma_exact(q, lex_first=False).value
-                            != gamma_naive(q).value):
-                        mism += 1
-                        rows.append(Row(
-                            f"oracle:exhaustive:n={n}|k={k}|{variant}|"
-                            f"edges={g.edges()}", f"n={n}", n, k, variant,
-                            "mismatch", "oracle", True, False))
-                rows.append(Row(f"oracle:exhaustive:n={n}|k={k}|{variant}",
-                                f"all-graphs:{n}", n, k, variant,
-                                f"{checked} agree" if mism == 0 else
-                                f"{mism} mismatches", "gamma_naive", True,
-                                mism == 0))
-    for gid, g in random_suite(seed, random_count, 8, 12):
-        for k in range(1, 4):
-            for variant in (TOTAL, RESTRAINED):
+        mismatches = {pair: [] for pair in pairs}
+        checked = dict.fromkeys(pairs, 0)
+        for g in all_graphs(n):
+            naive = gamma_naive_all(g, 3)
+            for k, variant in pairs:
+                if g.min_degree < k:
+                    continue
+                checked[k, variant] += 1
                 q = DominationQuery(g, k, variant)
-                a = gamma_exact(q, lex_first=False)
-                b = gamma_naive(q)
-                ok = (a.feasible, a.value) == (b.feasible, b.value)
-                rows.append(Row(f"oracle:{gid}|k={k}|{variant}", gid, g.n, k,
-                                variant, _render(a), _render(b), True, ok))
+                if (gamma_exact(q, lex_first=False).value
+                        != naive[k, variant].value):
+                    mismatches[k, variant].append(Row(
+                        f"oracle:exhaustive:n={n}|k={k}|{variant}|"
+                        f"edges={g.edges()}", f"n={n}", n, k, variant,
+                        "mismatch", "oracle", True, False))
+        for k, variant in pairs:
+            mism = len(mismatches[k, variant])
+            rows += mismatches[k, variant]
+            rows.append(Row(f"oracle:exhaustive:n={n}|k={k}|{variant}",
+                            f"all-graphs:{n}", n, k, variant,
+                            f"{checked[k, variant]} agree" if mism == 0 else
+                            f"{mism} mismatches", "gamma_naive", True,
+                            mism == 0))
+    for gid, g in random_suite(seed, random_count, 8, 12):
+        naive = gamma_naive_all(g, 3)
+        for k, variant in pairs:
+            a = gamma_exact(DominationQuery(g, k, variant), lex_first=False)
+            b = naive[k, variant]
+            ok = (a.feasible, a.value) == (b.feasible, b.value)
+            rows.append(Row(f"oracle:{gid}|k={k}|{variant}", gid, g.n, k,
+                            variant, _render(a), _render(b), True, ok))
     return rows
 
 
@@ -471,9 +472,9 @@ def check_properties(seed: int, random_count: int) -> list[Row]:
                      str(dr.value), capb.render())
             low = [v for v in range(n) if g.degree(v) <= 2 * k - 1]
             if n <= 8 and low:
-                # per size, the kTRDS hits must lie in every low column
+                # per batch, the kTRDS hits must lie in every low column
                 ok = not any(
-                    ktds_batch(g.adj, cols, (1 << count) - 1, k, True)
+                    ktds_batch(g.adj, cols, (1 << count) - 1, k, k, True)[1][0]
                     & ~reduce(and_, (cols[v] for v in low))
                     for count, cols in subset_levels(n))
                 prop("low-degree-in-every-set", ok, "all kTRDS",

@@ -62,6 +62,34 @@ def test_gamma_stats(capsys, argv, work):
     assert not STATS.findall(out)
 
 
+@pytest.mark.parametrize("flags, lex_first", [([], False),
+                                               (["--certificate"], True),
+                                               (["--stats"], True)])
+def test_gamma_runs_the_certificate_pass_only_when_it_shows(
+        capsys, monkeypatch, flags, lex_first):
+    # the pass makes the printed certificate the first optimal set, and
+    # --stats counts its nodes; a plain value does without it
+    calls = []
+    def recording(name):
+        real = getattr(cli, name)
+
+        def solve(q, *args, **kw):
+            calls.append((name, kw))
+            return real(q, *args, **kw)
+        return solve
+
+    for name in ("gamma_exact", "gamma_naive"):
+        monkeypatch.setattr(cli, name, recording(name))
+    code, out, _ = run(["gamma", "--family", "prism:cycle:6", "--k", "2"]
+                       + flags, capsys)
+    assert code == 0 and "gamma = 8" in out
+    code, out, _ = run(["gamma", "--family", "prism:cycle:6", "--k", "2",
+                        "--naive"] + flags, capsys)
+    assert code == 0 and "gamma = 8" in out
+    assert calls == [("gamma_exact", {"lex_first": lex_first}),
+                     ("gamma_naive", {})]
+
+
 def test_domatic_stats(capsys):
     want = domatic_exact(DominationQuery(complete(6), 1)).nodes_explored
     code, out, _ = run(["domatic", "--family", "complete:6", "--stats"],

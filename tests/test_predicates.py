@@ -57,17 +57,23 @@ def test_out_of_range_vertices_rejected():
 
 
 def test_mask_predicate_matches_set_predicates():
-    # every bit of every level, read back as a vertex set
+    # every mask of one call, for k' = 1..3 and both variants, against every
+    # bit of every batch read back as a vertex set; a call from lo = 2 and a
+    # total-only call return the same masks for the k' they cover
     for n in range(1, 7):
-        levels = list(subset_levels(n))
+        batches = list(subset_levels(n))
         for g in all_graphs(n):
-            for count, cols in levels:
+            for count, cols in batches:
                 full = (1 << count) - 1
                 sets = [[u for u in range(n) if cols[u] >> i & 1]
                         for i in range(count)]
+                total, restr = ktds_batch(g.adj, cols, full, 3, 1, True)
                 for k in (1, 2, 3):
-                    for restrained, pred in ((False, is_ktds),
-                                             (True, is_ktrds)):
-                        hits = ktds_batch(g.adj, cols, full, k, restrained)
-                        assert hits == sum(1 << i for i, s in enumerate(sets)
-                                           if pred(g, s, k))
+                    for masks, pred in ((total, is_ktds), (restr, is_ktrds)):
+                        assert masks[k - 1] == sum(
+                            1 << i for i, s in enumerate(sets)
+                            if pred(g, s, k))
+                assert ktds_batch(g.adj, cols, full, 3, 2, True) == \
+                    (total[1:], restr[1:])
+                assert ktds_batch(g.adj, cols, full, 3, 1, False) == \
+                    (total, [])

@@ -1,6 +1,7 @@
 import random
 from dataclasses import fields
 from itertools import combinations, product
+from math import comb
 
 import pytest
 
@@ -11,12 +12,13 @@ from domlab.graphs import (complement, complementary_prism, complete,
                            path)
 from domlab.predicates import is_ktdp, is_ktds, is_ktrdp, is_ktrds
 from domlab.smallgraphs import all_graphs
-from domlab.solver import (VARIANT_RESTRAINED, VARIANT_TOTAL,
+from domlab import solver
+from domlab.solver import (BATCH_SETS, VARIANT_RESTRAINED, VARIANT_TOTAL,
                            DominationQuery, Guards, GuardExceeded,
                            active_backend, domatic_exact,
                            enumerate_domatic_partitions,
                            enumerate_optimal_sets, gamma_exact, gamma_naive,
-                           subset_levels, t0_exact)
+                           gamma_naive_all, subset_levels, t0_exact)
 from domlab.verify import random_graph
 
 
@@ -210,16 +212,29 @@ def _first_set_by_combinations(g, k, pred):
 
 
 def test_naive_matches_combinations_scan():
-    # value, certificate and subset count (the first hit's rank) against a
-    # from-scratch scan that shares nothing with the column predicate
+    # value, certificate and subset count (the first hit's rank) of
+    # gamma_naive and of the per-graph scan, gamma_naive_all, against a
+    # from-scratch scan that shares nothing with the column predicate. On
+    # 13..15 vertices the subsets run over several batches and some first
+    # hits lie past the first one; there an infeasible pair is not scanned
+    # by combinations, which would test all 2^n sets
     rng = random.Random(14)
     seeded = [random_graph(rng, n, p) for n in (8, 9, 10) for p in (0.4, 0.6)]
-    cases = 0
-    for g in [g for n in range(1, 7) for g in all_graphs(n)] + seeded:
+    large = [cycle(13), complementary_prism(cycle(7)),
+             random_graph(random.Random(16), 15, 0.5)]
+    cases = past = 0
+    for g in [g for n in range(1, 7) for g in all_graphs(n)] + seeded + large:
+        per_graph = gamma_naive_all(g, 3)
+        assert len(per_graph) == 6
+        first_batch, _ = next(subset_levels(g.n))
         for k in (1, 2, 3):
             for variant, pred in ((VARIANT_TOTAL, is_ktds),
                                   (VARIANT_RESTRAINED, is_ktrds)):
                 res = gamma_naive(DominationQuery(g, k, variant))
+                assert per_graph[k, variant] == res, (g.edges(), k, variant)
+                if g.n > 12 and g.min_degree < k:
+                    assert not res.feasible
+                    continue
                 want = _first_set_by_combinations(g, k, pred)
                 if want is None:
                     assert not res.feasible, (g.edges(), k, variant)
@@ -227,28 +242,55 @@ def test_naive_matches_combinations_scan():
                 assert (res.value, res.certificate, res.nodes_explored) == \
                     want, (g.edges(), k, variant)
                 cases += 1
-    assert cases == 534
+                past += res.nodes_explored > first_batch
+    assert (cases, past) == (550, 10)
+
+
+def test_naive_scan_deep_in_cycle_24():
+    # the default naive_n cap: the first kTRDS lies 12 sizes deep, past
+    # batches that each hold one size
+    try:
+        res = gamma_naive(DominationQuery(cycle(24), 1))
+        assert (res.value, res.nodes_explored) == (12, 7_531_537)
+    finally:
+        solver._batch.cache_clear()
 
 
 def test_subset_levels_run_in_combinations_order():
-    for n in range(11):
-        levels = list(subset_levels(n))
-        assert len(levels) == n + 1
-        for size, (count, cols) in enumerate(levels):
+    # every subset in combinations order, size by size; a batch holds whole
+    # sizes and stops at the first size that takes it to BATCH_SETS sets
+    for n in range(15):
+        got = []
+        batches = list(subset_levels(n))
+        for count, cols in batches:
             assert len(cols) == n
             assert all(c >> count == 0 for c in cols)
-            got = [tuple(u for u in range(n) if cols[u] >> i & 1)
-                   for i in range(count)]
-            assert got == list(combinations(range(n), size))
+            sets = [tuple(u for u in range(n) if cols[u] >> i & 1)
+                    for i in range(count)]
+            first, last = len(sets[0]), len(sets[-1])
+            assert sets[0] == tuple(range(first))
+            assert sets[-1] == tuple(range(n - last, n))
+            assert count - comb(n, last) < BATCH_SETS
+            got += sets
+        assert all(count >= BATCH_SETS for count, _ in batches[:-1])
+        assert got == [s for size in range(n + 1)
+                       for s in combinations(range(n), size)]
+    assert [len(list(subset_levels(n))) for n in (12, 13, 14)] == [1, 2, 3]
 
 
 def test_enumerate_optimal_sets_cycle():
-    q = DominationQuery(cycle(4), 1)
-    sets = enumerate_optimal_sets(q)
-    assert sets and all(len(s) == 2 for s in sets)
-    assert all(is_ktrds(cycle(4), s, 1) for s in sets)
-    # C4: the two opposite pairs both work... verify against brute force count
-    assert frozenset({0, 1}) in sets
+    # every minimum set, in combinations order; the batch of n <= 12 holds
+    # every size, and cycle(13)'s minimum sets lie in its second batch
+    graphs = (cycle(4), cycle(9), complementary_prism(cycle(5)), cycle(13))
+    for g in graphs:
+        for k in (1, 2):
+            for variant, pred in ((VARIANT_TOTAL, is_ktds),
+                                  (VARIANT_RESTRAINED, is_ktrds)):
+                q = DominationQuery(g, k, variant)
+                size = gamma_naive(q).value
+                assert enumerate_optimal_sets(q) == [
+                    frozenset(s) for s in combinations(range(g.n), size)
+                    if pred(g, s, k)], (g.edges(), k, variant)
 
 
 def test_domatic_complete_graphs():
@@ -386,6 +428,8 @@ def test_exhaustive_scans_share_naive_n():
         t0_exact((5, 5, 5), 1, small)
     with pytest.raises(GuardExceeded, match="naive_n=12"):
         enumerate_optimal_sets(DominationQuery(cycle(13), 1), small)
+    with pytest.raises(GuardExceeded, match="naive_n=12"):
+        gamma_naive_all(cycle(13), 3, small)
 
 
 def test_guards_env_override(monkeypatch):

@@ -50,6 +50,15 @@ def test_prism_oracle_disagreement_keeps_the_row_note(monkeypatch):
     assert not any(i.endswith("|oracle-confirm|oracle-confirm") for i in rows)
 
 
+def test_regular_window_rows_are_not_allowlisted():
+    # the 2n corollary is read as total-restrained; every row matches, so a
+    # row that stopped matching would count as a discrepancy
+    rows = [r for r in verify.check_prisms()
+            if r.instance.endswith("|regular-window")]
+    assert len(rows) == 5
+    assert all(r.match and not r.allowlisted for r in rows)
+
+
 def test_sweep_asks_gamma_exact_for_values_only(monkeypatch):
     # the sweep reads only values, so every call skips the certificate pass
     flags = []
