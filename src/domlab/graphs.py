@@ -6,49 +6,78 @@ Vertices are labeled 0..n-1 internally; 1-based labels appear only in I/O.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Iterable, Sequence
 
 BAR = "̄"  # combining macron, renders "3" + BAR as the complement-copy label
 
+# Rows of a graph with at most this many vertices are masks below
+# 1 << SHARED_N; all such graphs share one neighbour set per mask.
+SHARED_N = 8
+
+
+def bit_indices(mask: int) -> list[int]:
+    """The positions of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def mask_vertices(mask: int) -> frozenset[int]:
+    """The vertices whose bits are set in mask."""
+    # a frozenset copied from a set gets a table sized to fit: 472 bytes
+    # for 5 to 7 elements, where one grown from a list takes 728
+    return frozenset(set(bit_indices(mask)))
+
+
+@cache
+def _shared_row(mask: int) -> frozenset[int]:
+    """One neighbour set per mask below 1 << SHARED_N, shared by every graph
+    on at most SHARED_N vertices and built the first time a graph has it."""
+    return mask_vertices(mask)
+
 
 @dataclass(frozen=True, slots=True)
 class Graph:
-    """Simple undirected graph with per-vertex neighbor sets.
+    """Simple undirected graph, stored as one adjacency bitmask per vertex.
 
-    Invariants: no self-loops, symmetric adjacency. Instances are immutable
-    and safe to share across threads. The adjacency bitmasks and min_degree
-    are computed once, with the graph, because every solver call reads them;
-    slots keep the extra fields from growing each instance.
+    Bit w of masks[v] is set iff vw is an edge. Callers that construct a
+    Graph directly keep the invariants: len(masks) == n, no self-loops
+    (bit v of masks[v] clear) and symmetric masks; build_graph checks an
+    edge list from outside the program. Equality and hashing use n, masks
+    and labels. The neighbour sets adj and min_degree are derived once,
+    with the graph; for n <= SHARED_N the sets are shared across graphs.
+    Instances are immutable and safe to share across threads.
     """
 
     n: int
-    adj: tuple[frozenset[int], ...]
+    masks: tuple[int, ...]
     labels: tuple[str, ...] | None = None
-    _masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    adj: tuple[frozenset[int], ...] = field(init=False, repr=False,
+                                            compare=False)
     min_degree: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        masks = []
-        for a in self.adj:
-            m = 0
-            for w in a:
-                m |= 1 << w
-            masks.append(m)
-        object.__setattr__(self, "_masks", tuple(masks))
-        object.__setattr__(self, "min_degree",
-                           min(map(len, self.adj), default=0))
+        if self.n <= SHARED_N:
+            adj = tuple(map(_shared_row, self.masks))
+        else:
+            adj = tuple(map(mask_vertices, self.masks))
+        object.__setattr__(self, "adj", adj)
+        object.__setattr__(self, "min_degree", min(map(len, adj), default=0))
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
     @property
     def max_degree(self) -> int:
-        return max((len(a) for a in self.adj), default=0)
+        return max(map(len, self.adj), default=0)
 
     @property
     def num_edges(self) -> int:
-        return sum(len(a) for a in self.adj) // 2
+        return sum(map(len, self.adj)) // 2
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in sorted(self.adj[u]) if u < v]
@@ -60,16 +89,7 @@ class Graph:
 
     def neighbor_masks(self) -> tuple[int, ...]:
         """Adjacency as integer bitmasks, one per vertex."""
-        return self._masks
-
-
-def _assemble(n: int, edge_set: set[tuple[int, int]],
-              labels: tuple[str, ...] | None = None) -> Graph:
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for u, v in edge_set:
-        adj[u].add(v)
-        adj[v].add(u)
-    return Graph(n, tuple(map(frozenset, adj)), labels)
+        return self.masks
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -80,34 +100,38 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
-    edge_set: set[tuple[int, int]] = set()
+    masks = [0] * n
     for u, v in edges:
         if u == v:
             raise ValueError(f"self-loop rejected: ({u}, {v})")
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"endpoint out of range 0..{n - 1}: ({u}, {v})")
-        edge_set.add((u, v) if u < v else (v, u))
-    return _assemble(n, edge_set)
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return Graph(n, tuple(masks))
 
 
 def complete(n: int) -> Graph:
     if n < 1:
         raise ValueError("complete(n) needs n >= 1")
-    return _assemble(n, {(u, v) for u in range(n) for v in range(u + 1, n)})
+    full = (1 << n) - 1
+    return Graph(n, tuple(full ^ 1 << v for v in range(n)))
 
 
 def cycle(n: int) -> Graph:
     """C_n on vertices 1..n (stored 0-based): path edges plus the edge {1, n}."""
     if n < 3:
         raise ValueError(f"cycle(n) needs n >= 3, got {n}")
-    return _assemble(n, {(i, (i + 1) % n) if i + 1 < n else (0, n - 1)
-                         for i in range(n)})
+    return Graph(n, tuple(1 << (v - 1) % n | 1 << (v + 1) % n
+                          for v in range(n)))
 
 
 def path(n: int) -> Graph:
     if n < 1:
         raise ValueError("path(n) needs n >= 1")
-    return _assemble(n, {(i, i + 1) for i in range(n - 1)})
+    full = (1 << n) - 1
+    return Graph(n, tuple(((1 << v) >> 1 | 1 << v + 1) & full
+                          for v in range(n)))
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
@@ -130,19 +154,21 @@ def _complete_multipartite(parts: tuple[int, ...]) -> Graph:
     if len(parts) < 1 or any(p < 1 for p in parts):
         raise ValueError(f"part sizes must be positive, got {list(parts)}")
     n = sum(parts)
-    part_of = []
-    for i, p in enumerate(parts):
-        part_of.extend([i] * p)
-    edge_set = {(u, v) for u in range(n) for v in range(u + 1, n)
-                if part_of[u] != part_of[v]}
-    return _assemble(n, edge_set)
+    full = (1 << n) - 1
+    masks = []
+    for p in parts:
+        masks += [full ^ ((1 << p) - 1) << len(masks)] * p
+    return Graph(n, tuple(masks))
+
+
+def _complement_masks(g: Graph) -> tuple[int, ...]:
+    full = (1 << g.n) - 1
+    return tuple(full ^ m ^ 1 << v for v, m in enumerate(g.masks))
 
 
 def complement(g: Graph) -> Graph:
     """Same vertex set and labels; uv an edge iff it is not one in g."""
-    edge_set = {(u, v) for u in range(g.n) for v in range(u + 1, g.n)
-                if v not in g.adj[u]}
-    return _assemble(g.n, edge_set, g.labels)
+    return Graph(g.n, _complement_masks(g), g.labels)
 
 
 def complementary_prism(g: Graph) -> Graph:
@@ -152,22 +178,19 @@ def complementary_prism(g: Graph) -> Graph:
     vertex i is matched to n+i. Labels follow the "i" / "i-bar" convention.
     """
     n = g.n
-    edge_set = set(g.edges())
-    edge_set |= {(n + u, n + v) for u, v in complement(g).edges()}
-    for i in range(n):
-        edge_set.add((i, n + i))
+    masks = tuple(m | 1 << n + v for v, m in enumerate(g.masks)) + \
+        tuple(m << n | 1 << v for v, m in enumerate(_complement_masks(g)))
     labels = tuple(str(i + 1) for i in range(n)) + \
         tuple(str(i + 1) + BAR for i in range(n))
-    return _assemble(2 * n, edge_set, labels)
+    return Graph(2 * n, masks, labels)
 
 
 def corona_k1(g: Graph) -> Graph:
     """G with one pendant vertex attached to each vertex."""
     n = g.n
-    edge_set = set(g.edges())
-    for i in range(n):
-        edge_set.add((i, n + i))
-    return _assemble(2 * n, edge_set)
+    masks = tuple(m | 1 << n + v for v, m in enumerate(g.masks)) + \
+        tuple(1 << v for v in range(n))
+    return Graph(2 * n, masks)
 
 
 def k_join(f: Graph, h: Graph, k: int) -> Graph:
@@ -179,10 +202,11 @@ def k_join(f: Graph, h: Graph, k: int) -> Graph:
     if not 1 <= k <= h.n:
         raise ValueError(f"k_join needs 1 <= k <= n(H), got n(H)={h.n}, k={k}")
     nf = f.n
-    edge_set = set(f.edges())
-    edge_set |= {(nf + u, nf + v) for u, v in h.edges()}
-    edge_set |= {(i, nf + j) for i in range(nf) for j in range(k)}
-    return _assemble(nf + h.n, edge_set)
+    to_f = (1 << nf) - 1
+    to_h = ((1 << k) - 1) << nf
+    masks = tuple(m | to_h for m in f.masks) + \
+        tuple(m << nf | (to_f if j < k else 0) for j, m in enumerate(h.masks))
+    return Graph(nf + h.n, masks)
 
 
 def write_edge_list(g: Graph, fh) -> None:

@@ -25,7 +25,7 @@ from itertools import accumulate
 from math import comb, prod
 from typing import Iterator, Sequence
 
-from .graphs import Graph, complete_multipartite
+from .graphs import Graph, bit_indices, complete_multipartite, mask_vertices
 from .predicates import is_ktdp, is_ktds, is_ktrdp, is_ktrds, ktds_batch
 
 VARIANT_TOTAL = "total"
@@ -179,20 +179,6 @@ def _level(n: int, size: int) -> tuple[int, tuple[int, ...]]:
     return row[size]
 
 
-def _bit_indices(mask: int) -> list[int]:
-    """The positions of the set bits of mask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
-def _vertices(mask: int) -> frozenset[int]:
-    return frozenset(_bit_indices(mask))
-
-
 def _column_set(cols: Sequence[int], i: int) -> frozenset[int]:
     """Set i of a batch of columns, as vertices."""
     return frozenset(u for u, c in enumerate(cols) if c >> i & 1)
@@ -213,7 +199,7 @@ def gamma_exact(q: DominationQuery, guards: Guards = DEFAULT_GUARDS, *,
         return SolveResult(False, None, None)
     value, cert_mask, nodes = _gamma_search(g.neighbor_masks(), q.k,
                                             q.restrained, lex_first)
-    return SolveResult(True, value, _vertices(cert_mask), nodes)
+    return SolveResult(True, value, mask_vertices(cert_mask), nodes)
 
 
 def gamma_naive(q: DominationQuery,
@@ -302,7 +288,7 @@ def enumerate_optimal_sets(q: DominationQuery,
             end = sum(comb(g.n, t)
                       for t in range(len(_column_set(cols, 0)), size + 1))
             return [_column_set(cols, i)
-                    for i in _bit_indices(hits & ((1 << end) - 1))]
+                    for i in bit_indices(hits & ((1 << end) - 1))]
     return []
 
 
@@ -406,7 +392,7 @@ def _partition(q: DominationQuery,
                class_masks: Sequence[int]) -> tuple[frozenset[int], ...]:
     """Class masks as vertex sets, re-checked with the set-form predicate."""
     g = q.graph
-    part = tuple(_vertices(m) for m in class_masks)
+    part = tuple(mask_vertices(m) for m in class_masks)
     if not (is_ktrdp if q.restrained else is_ktdp)(g, part, q.k):
         raise RuntimeError(f"domatic search: {[sorted(c) for c in part]} is "
                            f"not a {'kTRDP' if q.restrained else 'kTDP'}")

@@ -20,7 +20,9 @@ from operator import and_
 
 from . import formulas
 from .family_spec import family_graph
-from .graphs import Graph, build_graph, complement, complementary_prism, complete, cycle
+# build_graph is not called here; perfbench/run.py times graph building
+# through this module's names, build_graph among them
+from .graphs import Graph, build_graph, complement, complementary_prism, complete, cycle  # noqa: F401
 from .predicates import is_ktdp, ktds_batch
 from .smallgraphs import all_graphs
 from .solver import (VARIANT_RESTRAINED as RESTRAINED,
@@ -340,9 +342,15 @@ def check_witnesses() -> list[Row]:
 # ------------------------------------------------------------ random suites
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n)
-             if rng.random() < p]
-    return build_graph(n, edges)
+    """G(n, p): one rng.random() draw per pair (u, v), u < v, in row-major
+    order; the pair is an edge iff the draw is below p."""
+    masks = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                masks[u] |= 1 << v
+                masks[v] |= 1 << u
+    return Graph(n, tuple(masks))
 
 
 def random_suite(seed: int, count: int, n_lo: int, n_hi: int,
@@ -506,9 +514,10 @@ def check_sandwich() -> list[Row]:
     rows = []
     for n in range(5, 8):
         for idx, g in enumerate(all_graphs(n)):
-            gbar = complement(g)
-            if g.min_degree < 2 or gbar.min_degree < 2:
+            # the complement's min degree, without building the complement
+            if g.min_degree < 2 or n - 1 - g.max_degree < 2:
                 continue
+            gbar = complement(g)
             verdict = formulas.f_prism_sandwich(gamma(g, 1), gamma(gbar, 1),
                                                 gamma(g, 2), gamma(gbar, 2), 2)
             prism = complementary_prism(g)

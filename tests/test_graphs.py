@@ -1,11 +1,14 @@
 import io
+import random
 
 import pytest
 
-from domlab.graphs import (build_graph, complement, complementary_prism,
-                           complete, complete_bipartite,
+from domlab.graphs import (BAR, SHARED_N, build_graph, complement,
+                           complementary_prism, complete, complete_bipartite,
                            complete_multipartite, corona_k1, cycle, k_join,
                            path, read_edge_list, write_edge_list)
+from domlab.smallgraphs import all_graphs
+from domlab.verify import random_graph
 
 
 def test_build_graph_rejects_self_loop():
@@ -133,3 +136,77 @@ def test_read_edge_list_names_bad_line(text, message):
     with pytest.raises(ValueError) as exc:
         read_edge_list(io.StringIO(text))
     assert str(exc.value) == message
+
+
+# ------------------------------------------------ mask builders vs edge lists
+
+def assert_same_graph(g, n, edges, labels=None):
+    """g is the graph build_graph makes from the edge list, with labels."""
+    ref = build_graph(n, edges)
+    assert (g.n, g.masks, g.adj, g.labels) == (n, ref.masks, ref.adj, labels)
+    assert g.min_degree == ref.min_degree
+
+
+def pairs(n):
+    return [(u, v) for u in range(n) for v in range(u + 1, n)]
+
+
+def prism_labels(n):
+    return tuple(str(i + 1) for i in range(n)) + \
+        tuple(str(i + 1) + BAR for i in range(n))
+
+
+# the second factor of every k_join below
+JOINED = random_graph(random.Random(3), SHARED_N + 1, 0.5)
+# both sides of SHARED_N, since rows of small graphs come from a shared table
+FACTORS = [*all_graphs(4), *all_graphs(5)[::7], JOINED,
+           random_graph(random.Random(4), 13, 0.3), complete_bipartite(4, 6)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, SHARED_N, SHARED_N + 1, 17])
+def test_families_match_edge_lists(n):
+    assert_same_graph(complete(n), n, pairs(n))
+    assert_same_graph(path(n), n, [(i, i + 1) for i in range(n - 1)])
+    if n >= 3:
+        assert_same_graph(cycle(n), n, [(i, (i + 1) % n) for i in range(n)])
+
+
+@pytest.mark.parametrize("parts", [[1], [3], [1, 1], [2, 3], [1, 2, 3],
+                                   [2, 2, 2, 3], [5, 6]])
+def test_complete_multipartite_matches_edge_list(parts):
+    part_of = [i for i, p in enumerate(parts) for _ in range(p)]
+    n = len(part_of)
+    assert_same_graph(complete_multipartite(parts), n,
+                      [(u, v) for u, v in pairs(n) if part_of[u] != part_of[v]])
+
+
+@pytest.mark.parametrize("g", FACTORS)
+def test_derived_graphs_match_edge_lists(g):
+    n, edges = g.n, g.edges()
+    non_edges = [(u, v) for u, v in pairs(n) if v not in g.adj[u]]
+    assert_same_graph(complement(g), n, non_edges)
+    labelled = complementary_prism(g)
+    assert_same_graph(complement(labelled), 2 * n,
+                      [(u, v) for u, v in pairs(2 * n)
+                       if v not in labelled.adj[u]], prism_labels(n))
+    matching = [(i, n + i) for i in range(n)]
+    assert_same_graph(labelled, 2 * n,
+                      edges + [(n + u, n + v) for u, v in non_edges] + matching,
+                      prism_labels(n))
+    assert_same_graph(corona_k1(g), 2 * n, edges + matching)
+    h = JOINED
+    for k in (1, h.n // 2, h.n):
+        assert_same_graph(k_join(g, h, k), n + h.n,
+                          edges + [(n + u, n + v) for u, v in h.edges()]
+                          + [(i, n + j) for i in range(n) for j in range(k)])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 20230417])
+def test_random_graph_matches_edge_list_draws(seed):
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for n in range(4, 13):
+        for p in (0.3, 0.5, 0.7):
+            edges = [(u, v) for u, v in pairs(n) if theirs.random() < p]
+            assert_same_graph(random_graph(ours, n, p), n, edges)
+    # the same number of draws, so later draws line up too
+    assert ours.getstate() == theirs.getstate()

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 
@@ -115,6 +116,41 @@ def test_shipped_lists_regenerate_byte_for_byte():
     assert "".join(encode(g) for graphs in lists for g in graphs) == GRAPHS
     for n, graphs in enumerate(lists, start=1):
         assert all_graphs(n) == graphs
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_decoder_matches_build_graph_on_pair_lists(n):
+    lines = [line.split() for line in GRAPHS.splitlines()]
+    bits = [int(b, 16) for size, b in lines if int(size) == n]
+    pairs = list(combinations(range(n), 2))
+    for g, mask in zip(all_graphs(n), bits, strict=True):
+        ref = build_graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+        assert (g.masks, g.adj, g.labels) == (ref.masks, ref.adj, None)
+
+
+def test_small_graphs_share_neighbour_sets():
+    rows = {}
+    for g in all_graphs(7):
+        for a in g.adj:
+            assert rows.setdefault(a, a) is a
+
+
+# bytes per decoded graph: about 280 when graphs hold masks and share their
+# neighbour sets, about 1,950 when each builds its own n frozensets
+BYTES_PER_GRAPH = 800
+
+
+def test_decoded_lists_stay_small():
+    all_graphs.cache_clear()
+    tracemalloc.start()
+    try:
+        lists = [all_graphs(n) for n in range(2, 8)]
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    count = sum(map(len, lists))
+    assert count == sum(GRAPH_COUNTS[1:])
+    assert held < BYTES_PER_GRAPH * count
 
 
 def test_shipped_lists_match_graph_atlas():

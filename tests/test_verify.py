@@ -116,3 +116,15 @@ def test_perfbench_names_exist_on_verify():
     assert {("active_backend",), ("Guards",), ("verify", "random_suite"),
             ("smallgraphs", "all_graphs", "cache_info")} <= chains
     assert sorted(c for c in chains if not _resolves(c)) == []
+
+
+def test_sandwich_builds_only_the_graphs_it_solves(monkeypatch):
+    built = []
+    for name in ("complement", "complementary_prism"):
+        real = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda g, real=real, name=name:
+                            built.append(name) or real(g))
+    rows = verify.check_sandwich()
+    assert len(rows) == 179
+    assert built.count("complement") == built.count("complementary_prism") \
+        == len(rows)
