@@ -6,14 +6,9 @@ Vertices are labeled 0..n-1 internally; 1-based labels appear only in I/O.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
 from typing import Iterable, Sequence
 
 BAR = "̄"  # combining macron, renders "3" + BAR as the complement-copy label
-
-# Rows of a graph with at most this many vertices are masks below
-# 1 << SHARED_N; all such graphs share one neighbour set per mask.
-SHARED_N = 8
 
 
 def bit_indices(mask: int) -> list[int]:
@@ -28,68 +23,58 @@ def bit_indices(mask: int) -> list[int]:
 
 def mask_vertices(mask: int) -> frozenset[int]:
     """The vertices whose bits are set in mask."""
-    # a frozenset copied from a set gets a table sized to fit: 472 bytes
-    # for 5 to 7 elements, where one grown from a list takes 728
-    return frozenset(set(bit_indices(mask)))
-
-
-@cache
-def _shared_row(mask: int) -> frozenset[int]:
-    """One neighbour set per mask below 1 << SHARED_N, shared by every graph
-    on at most SHARED_N vertices and built the first time a graph has it."""
-    return mask_vertices(mask)
+    return frozenset(bit_indices(mask))
 
 
 @dataclass(frozen=True, slots=True)
 class Graph:
     """Simple undirected graph, stored as one adjacency bitmask per vertex.
 
-    Bit w of masks[v] is set iff vw is an edge. Callers that construct a
-    Graph directly keep the invariants: len(masks) == n, no self-loops
-    (bit v of masks[v] clear) and symmetric masks; build_graph checks an
-    edge list from outside the program. Equality and hashing use n, masks
-    and labels. The neighbour sets adj and min_degree are derived once,
-    with the graph; for n <= SHARED_N the sets are shared across graphs.
-    Instances are immutable and safe to share across threads.
+    Bit w of masks[v] is set iff vw is an edge; the masks are the only
+    stored adjacency. Callers that construct a Graph directly keep the
+    invariants: len(masks) == n, no self-loops (bit v of masks[v] clear)
+    and symmetric masks; build_graph checks an edge list from outside the
+    program. Equality and hashing use n, masks and labels. min_degree is
+    derived once, with the graph; degrees, edges and the neighbour sets adj
+    are computed from the masks on each access. Instances are immutable and
+    safe to share across threads.
     """
 
     n: int
     masks: tuple[int, ...]
     labels: tuple[str, ...] | None = None
-    adj: tuple[frozenset[int], ...] = field(init=False, repr=False,
-                                            compare=False)
     min_degree: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n <= SHARED_N:
-            adj = tuple(map(_shared_row, self.masks))
-        else:
-            adj = tuple(map(mask_vertices, self.masks))
-        object.__setattr__(self, "adj", adj)
-        object.__setattr__(self, "min_degree", min(map(len, adj), default=0))
+        object.__setattr__(self, "min_degree",
+                           min(map(int.bit_count, self.masks), default=0))
+
+    @property
+    def adj(self) -> tuple[frozenset[int], ...]:
+        """The neighbour set of each vertex, built from the masks."""
+        return tuple(map(mask_vertices, self.masks))
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return self.masks[v].bit_count()
 
     @property
     def max_degree(self) -> int:
-        return max(map(len, self.adj), default=0)
+        return max(map(int.bit_count, self.masks), default=0)
 
     @property
     def num_edges(self) -> int:
-        return sum(map(len, self.adj)) // 2
+        return sum(map(int.bit_count, self.masks)) // 2
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in range(self.n) for v in sorted(self.adj[u]) if u < v]
+        """Each edge once, as (u, v) with u < v, in ascending order."""
+        # m & -(2 << u) keeps the neighbours of u above u
+        return [(u, v) for u, m in enumerate(self.masks)
+                for v in bit_indices(m & -(2 << u))]
 
     def label(self, v: int) -> str:
         if self.labels is not None:
             return self.labels[v]
         return str(v + 1)
-
-    def neighbor_masks(self) -> tuple[int, ...]:
-        """Adjacency as integer bitmasks, one per vertex."""
-        return self.masks
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -141,16 +126,7 @@ def complete_bipartite(a: int, b: int) -> Graph:
 
 
 def complete_multipartite(parts: Sequence[int]) -> Graph:
-    """K_{n1,...,np}: vertices grouped by part in order, edges across parts.
-
-    The last few builds are kept and shared, since a Graph is immutable:
-    callers such as t0_exact ask for the same parts several times in a row.
-    """
-    return _complete_multipartite(tuple(parts))
-
-
-@lru_cache(maxsize=16)
-def _complete_multipartite(parts: tuple[int, ...]) -> Graph:
+    """K_{n1,...,np}: vertices grouped by part in order, edges across parts."""
     if len(parts) < 1 or any(p < 1 for p in parts):
         raise ValueError(f"part sizes must be positive, got {list(parts)}")
     n = sum(parts)

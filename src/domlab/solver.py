@@ -197,8 +197,8 @@ def gamma_exact(q: DominationQuery, guards: Guards = DEFAULT_GUARDS, *,
     _guard(g.n, guards, "gamma_n", "gamma_exact")
     if g.min_degree < q.k:
         return SolveResult(False, None, None)
-    value, cert_mask, nodes = _gamma_search(g.neighbor_masks(), q.k,
-                                            q.restrained, lex_first)
+    value, cert_mask, nodes = _gamma_search(g.masks, q.k, q.restrained,
+                                            lex_first)
     return SolveResult(True, value, mask_vertices(cert_mask), nodes)
 
 
@@ -247,7 +247,7 @@ def _naive_scan(g: Graph, ks: Sequence[int], variants: Sequence[str],
     for count, cols in subset_levels(g.n):
         lo = min(k for k, _ in todo)
         total, restr = ktds_batch(
-            g.adj, cols, (1 << count) - 1, max(k for k, _ in todo), lo,
+            g.masks, cols, (1 << count) - 1, max(k for k, _ in todo), lo,
             any(v == VARIANT_RESTRAINED for _, v in todo))
         left = []
         for k, v in todo:
@@ -278,7 +278,7 @@ def enumerate_optimal_sets(q: DominationQuery,
     if g.min_degree < q.k:
         return []
     for count, cols in subset_levels(g.n):
-        total, restr = ktds_batch(g.adj, cols, (1 << count) - 1, q.k, q.k,
+        total, restr = ktds_batch(g.masks, cols, (1 << count) - 1, q.k, q.k,
                                   q.restrained)
         hits = (restr if q.restrained else total)[0]
         if hits:
@@ -321,7 +321,7 @@ def t0_exact(parts: Sequence[int], k: int,
         cols.extend((((1 << (p - j) * run) - 1) << (j + 1) * run) * repunit
                     for j in range(p))
         block = run
-    hits = ktds_batch(g.adj, cols, full, k, k, True)[1][0]
+    hits = ktds_batch(g.masks, cols, full, k, k, True)[1][0]
     # only the last vector fills every part, and a part is not full where
     # its last vertex is missing
     proper = hits & full >> 1
@@ -364,11 +364,10 @@ def domatic_exact(q: DominationQuery,
     _guard(g.n, guards, "domatic_n", "domatic_exact")
     if g.min_degree < q.k:
         return SolveResult(False, 0, None)
-    masks = g.neighbor_masks()
     cap = min(g.n // (q.k + 1), g.min_degree // q.k)
     nodes = 0
     for d in range(cap, 1, -1):
-        found, searched = _domatic_search(masks, q.k, d, first_only=True)
+        found, searched = _domatic_search(g.masks, q.k, d, first_only=True)
         nodes += searched
         if found:
             return SolveResult(True, d, _partition(q, found[0]), nodes)
@@ -384,7 +383,7 @@ def enumerate_domatic_partitions(q: DominationQuery, d: int,
     _guard(g.n, guards, "domatic_n", "enumerate_domatic_partitions")
     if g.min_degree < q.k:
         return []
-    found, _ = _domatic_search(g.neighbor_masks(), q.k, d, first_only=False)
+    found, _ = _domatic_search(g.masks, q.k, d, first_only=False)
     return [_partition(q, classes) for classes in found]
 
 

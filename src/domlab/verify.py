@@ -22,7 +22,7 @@ from . import formulas
 from .family_spec import family_graph
 # build_graph is not called here; perfbench/run.py times graph building
 # through this module's names, build_graph among them
-from .graphs import Graph, build_graph, complement, complementary_prism, complete, cycle  # noqa: F401
+from .graphs import Graph, bit_indices, build_graph, complement, complementary_prism, complete, cycle  # noqa: F401
 from .predicates import is_ktdp, ktds_batch
 from .smallgraphs import all_graphs
 from .solver import (VARIANT_RESTRAINED as RESTRAINED,
@@ -423,7 +423,7 @@ def _is_bipartite(g: Graph) -> bool:
         stack = [s]
         while stack:
             u = stack.pop()
-            for v in g.adj[u]:
+            for v in bit_indices(g.masks[u]):
                 if color[v] < 0:
                     color[v] = 1 - color[u]
                     stack.append(v)
@@ -482,7 +482,7 @@ def check_properties(seed: int, random_count: int) -> list[Row]:
             if n <= 8 and low:
                 # per batch, the kTRDS hits must lie in every low column
                 ok = not any(
-                    ktds_batch(g.adj, cols, (1 << count) - 1, k, k, True)[1][0]
+                    ktds_batch(g.masks, cols, (1 << count) - 1, k, k, True)[1][0]
                     & ~reduce(and_, (cols[v] for v in low))
                     for count, cols in subset_levels(n))
                 prop("low-degree-in-every-set", ok, "all kTRDS",

@@ -1,14 +1,23 @@
 import io
 import random
+from collections import Counter
 
 import pytest
 
-from domlab.graphs import (BAR, SHARED_N, build_graph, complement,
+from domlab.graphs import (BAR, Graph, build_graph, complement,
                            complementary_prism, complete, complete_bipartite,
                            complete_multipartite, corona_k1, cycle, k_join,
                            path, read_edge_list, write_edge_list)
 from domlab.smallgraphs import all_graphs
 from domlab.verify import random_graph
+
+
+def test_graph_stores_only_masks():
+    # degrees, edges and the neighbour sets are computed from the masks
+    assert Graph.__slots__ == ("n", "masks", "labels", "min_degree")
+    g = cycle(5)
+    assert g.adj == (frozenset({1, 4}), frozenset({0, 2}), frozenset({1, 3}),
+                     frozenset({2, 4}), frozenset({0, 3}))
 
 
 def test_build_graph_rejects_self_loop():
@@ -115,7 +124,7 @@ def test_edge_list_roundtrip():
     write_edge_list(g, buf)
     buf.seek(0)
     h = read_edge_list(buf)
-    assert h.adj == g.adj
+    assert h.masks == g.masks
 
 
 def test_read_edge_list_comments_and_errors():
@@ -141,10 +150,17 @@ def test_read_edge_list_names_bad_line(text, message):
 # ------------------------------------------------ mask builders vs edge lists
 
 def assert_same_graph(g, n, edges, labels=None):
-    """g is the graph build_graph makes from the edge list, with labels."""
+    """g is the graph build_graph makes from the edge list, with labels, and
+    its degrees and edges are the edge list's."""
     ref = build_graph(n, edges)
     assert (g.n, g.masks, g.adj, g.labels) == (n, ref.masks, ref.adj, labels)
-    assert g.min_degree == ref.min_degree
+    ordered = sorted({(min(u, v), max(u, v)) for u, v in edges})
+    ends = Counter(v for e in ordered for v in e)
+    degrees = [ends[v] for v in range(n)]
+    assert g.edges() == ordered and g.num_edges == len(ordered)
+    assert [g.degree(v) for v in range(n)] == degrees
+    assert (g.min_degree, g.max_degree) == \
+        (min(degrees, default=0), max(degrees, default=0))
 
 
 def pairs(n):
@@ -157,13 +173,12 @@ def prism_labels(n):
 
 
 # the second factor of every k_join below
-JOINED = random_graph(random.Random(3), SHARED_N + 1, 0.5)
-# both sides of SHARED_N, since rows of small graphs come from a shared table
+JOINED = random_graph(random.Random(3), 9, 0.5)
 FACTORS = [*all_graphs(4), *all_graphs(5)[::7], JOINED,
            random_graph(random.Random(4), 13, 0.3), complete_bipartite(4, 6)]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, SHARED_N, SHARED_N + 1, 17])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 9, 17])
 def test_families_match_edge_lists(n):
     assert_same_graph(complete(n), n, pairs(n))
     assert_same_graph(path(n), n, [(i, i + 1) for i in range(n - 1)])

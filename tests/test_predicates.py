@@ -1,6 +1,6 @@
 import pytest
 
-from domlab.graphs import build_graph, complete, cycle
+from domlab.graphs import build_graph, complementary_prism, complete, cycle
 from domlab.predicates import (is_ktdp, is_ktds, is_ktrdp, is_ktrds,
                                ktds_batch, ktds_failures, ktrds_failures)
 from domlab.smallgraphs import all_graphs
@@ -51,6 +51,18 @@ def test_failure_messages_name_vertices():
     assert ktds_failures(g, {0, 1}, 1)
 
 
+def test_failure_messages_exact_text_on_labelled_prism():
+    g = complementary_prism(cycle(5))
+    assert ktrds_failures(g, {0, 1, 2, 3, 5}, 2) == [
+        "vertex 4 has 1 neighbors in S, needs 2",
+        "vertex 1̄ has 1 neighbors in S, needs 2",
+        "vertex 2̄ has 1 neighbors in S, needs 2",
+        "vertex 5̄ has 0 neighbors in S, needs 2",
+        "vertex 5 outside S has 1 neighbors outside S, needs 2",
+        "vertex 3̄ outside S has 1 neighbors outside S, needs 2",
+        "vertex 4̄ outside S has 1 neighbors outside S, needs 2"]
+
+
 def test_out_of_range_vertices_rejected():
     with pytest.raises(ValueError, match="outside"):
         is_ktds(cycle(4), {0, 9}, 1)
@@ -67,13 +79,13 @@ def test_mask_predicate_matches_set_predicates():
                 full = (1 << count) - 1
                 sets = [[u for u in range(n) if cols[u] >> i & 1]
                         for i in range(count)]
-                total, restr = ktds_batch(g.adj, cols, full, 3, 1, True)
+                total, restr = ktds_batch(g.masks, cols, full, 3, 1, True)
                 for k in (1, 2, 3):
                     for masks, pred in ((total, is_ktds), (restr, is_ktrds)):
                         assert masks[k - 1] == sum(
                             1 << i for i, s in enumerate(sets)
                             if pred(g, s, k))
-                assert ktds_batch(g.adj, cols, full, 3, 2, True) == \
+                assert ktds_batch(g.masks, cols, full, 3, 2, True) == \
                     (total[1:], restr[1:])
-                assert ktds_batch(g.adj, cols, full, 3, 1, False) == \
+                assert ktds_batch(g.masks, cols, full, 3, 1, False) == \
                     (total, [])

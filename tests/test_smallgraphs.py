@@ -1,9 +1,13 @@
-import tracemalloc
+import os
+import subprocess
+import sys
 from collections import Counter
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import domlab
 from domlab.graphs import (Graph, build_graph, complement, complementary_prism,
                            complete, corona_k1, cycle)
 from domlab.smallgraphs import GRAPHS, all_graphs
@@ -33,7 +37,7 @@ def canonical_code(g: Graph) -> tuple:
         return (0,)
     colors = _refine_colors(g)
     n = g.n
-    masks = g.neighbor_masks()
+    masks = g.masks
     # vertices must be placed in nondecreasing color order
     by_color: dict[int, list[int]] = {}
     for v in range(n):
@@ -128,27 +132,29 @@ def test_decoder_matches_build_graph_on_pair_lists(n):
         assert (g.masks, g.adj, g.labels) == (ref.masks, ref.adj, None)
 
 
-def test_small_graphs_share_neighbour_sets():
-    rows = {}
-    for g in all_graphs(7):
-        for a in g.adj:
-            assert rows.setdefault(a, a) is a
+# bytes per decoded graph: about 164 when graphs hold only their masks,
+# 296 when they also keep a tuple of shared neighbour sets, about 1,950 when
+# each builds its own n frozensets
+BYTES_PER_GRAPH = 220
 
-
-# bytes per decoded graph: about 280 when graphs hold masks and share their
-# neighbour sets, about 1,950 when each builds its own n frozensets
-BYTES_PER_GRAPH = 800
+# run in a fresh interpreter: small tuples that earlier tests freed are
+# reused from the interpreter's free lists, which tracemalloc does not see
+DECODE_HELD = """
+import tracemalloc
+from domlab.smallgraphs import all_graphs
+tracemalloc.start()
+lists = [all_graphs(n) for n in range(2, 8)]
+print(tracemalloc.get_traced_memory()[0], sum(map(len, lists)))
+"""
 
 
 def test_decoded_lists_stay_small():
-    all_graphs.cache_clear()
-    tracemalloc.start()
-    try:
-        lists = [all_graphs(n) for n in range(2, 8)]
-        held, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    count = sum(map(len, lists))
+    src = str(Path(domlab.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", DECODE_HELD], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    held, count = map(int, out.split())
     assert count == sum(GRAPH_COUNTS[1:])
     assert held < BYTES_PER_GRAPH * count
 
