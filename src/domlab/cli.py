@@ -73,7 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gamma = sub.add_parser("gamma", help="domination number")
     _add_query_args(p_gamma)
     p_gamma.add_argument("--certificate", action="store_true",
-                         help="print one optimal set (1-based)")
+                         help="print one optimal set (1-based); with --naive, "
+                              "the first in subset order")
     p_gamma.add_argument("--naive", action="store_true",
                          help="use the unpruned oracle instead of the kernel")
     p_gamma.add_argument("--stats", action="store_true",
@@ -115,13 +116,8 @@ def _print_stats(args, work: str, res, ms: float) -> None:
 def _cmd_gamma(args) -> int:
     g = _load_graph(args)
     q = DominationQuery(g, args.k, args.variant)
-    if args.naive:
-        res, ms = _timed(gamma_naive, q, Guards.from_env())
-    else:
-        # the certificate pass makes the printed certificate the first
-        # optimal set, and --stats counts its nodes; a plain value skips it
-        res, ms = _timed(gamma_exact, q, Guards.from_env(),
-                         lex_first=args.certificate or args.stats)
+    res, ms = _timed(gamma_naive if args.naive else gamma_exact, q,
+                     Guards.from_env())
     if not res.feasible:
         print(f"infeasible: min degree {g.min_degree} < k={args.k}")
         return EXIT_INFEASIBLE

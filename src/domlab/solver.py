@@ -184,21 +184,18 @@ def _column_set(cols: Sequence[int], i: int) -> frozenset[int]:
     return frozenset(u for u, c in enumerate(cols) if c >> i & 1)
 
 
-def gamma_exact(q: DominationQuery, guards: Guards = DEFAULT_GUARDS, *,
-                lex_first: bool = True) -> SolveResult:
+def gamma_exact(q: DominationQuery,
+                guards: Guards = DEFAULT_GUARDS) -> SolveResult:
     """Minimum kTDS/kTRDS size via the pruned search (_gamma_search).
 
-    The certificate is the first minimum set in enumerate_optimal_sets'
-    order. With lex_first=False it is the minimum set the search happened
-    to find, which saves the certificate pass; callers that read only the
-    value pass that. The value is the same either way.
+    The certificate is the minimum set the search finds. gamma_naive and
+    enumerate_optimal_sets give the first one in subset order.
     """
     g = q.graph
     _guard(g.n, guards, "gamma_n", "gamma_exact")
     if g.min_degree < q.k:
         return SolveResult(False, None, None)
-    value, cert_mask, nodes = _gamma_search(g.masks, q.k, q.restrained,
-                                            lex_first)
+    value, cert_mask, nodes = _gamma_search(g.masks, q.k, q.restrained)
     return SolveResult(True, value, mask_vertices(cert_mask), nodes)
 
 
@@ -306,6 +303,8 @@ def t0_exact(parts: Sequence[int], k: int,
     kTRDS (the full vertex set always has t = 0, so t0 = 0 exactly when no
     proper kTRDS exists, i.e. gamma equals n).
     """
+    if k < 1:
+        raise ValueError("k must be >= 1")
     _guard(sum(parts), guards, "naive_n", "t0_exact")
     g = complete_multipartite(parts)
     if g.min_degree < k:
@@ -398,13 +397,13 @@ def _partition(q: DominationQuery,
     return part
 
 
-def _gamma_search(masks: Sequence[int], k: int, restrained: bool,
-                  lex_first: bool) -> tuple[int, int, int]:
+def _gamma_search(masks: Sequence[int], k: int,
+                  restrained: bool) -> tuple[int, int, int]:
     """Minimum size of a kTDS (kTRDS when restrained) over the adjacency
     bitmasks; returns (value, certificate mask, nodes), the certificate being
-    the first minimum set in enumerate_optimal_sets' order when lex_first,
-    else the first minimum set the deepening finds. The caller ensures
-    n >= 1 and minimum degree >= k.
+    the minimum set the search finds at s = value (gamma_naive and
+    enumerate_optimal_sets give the first one in subset order). The caller
+    ensures n >= 1 and minimum degree >= k.
 
     Iterative deepening over the size s. A node (a call of search) holds S,
     the excluded set X, the budget b = s - |S| and bit-sliced counters cov:
@@ -429,16 +428,8 @@ def _gamma_search(masks: Sequence[int], k: int, restrained: bool,
     lacks more than b (plane k-1-b of cov is not full) or has fewer than k
     neighbours outside X. Once X is not empty and D > b, it dies when
     deficient vertices with pairwise disjoint undecided neighbourhoods need
-    more than b inclusions (packing).
-
-    Certificate: without lex_first the witness w that the deepening finds
-    at s = gamma is returned as it is. With lex_first, vertices are then
-    decided in index order. The first undecided vertex below w's last one
-    and not in w is tried by one search, with w's vertices below it
-    included: on a hit it joins S and the hit becomes w, else it is
-    excluded. So each decision keeps the first optimal set consistent with
-    the ones before, and the final w is the first optimal set. gamma_naive
-    is the independent oracle this search is tested against.
+    more than b inclusions (packing). gamma_naive is the independent oracle
+    this search is tested against.
     """
     n = len(masks)
     full = (1 << n) - 1
@@ -561,26 +552,8 @@ def _gamma_search(masks: Sequence[int], k: int, restrained: bool,
         if b >= k or (cov0 >> (k - 1 - b) * n) & full == full:
             w = search(S0, 0, b, cov0)
             if w >= 0:
-                break
+                return (s, w, nodes)
         s += 1
-    if not lex_first:
-        return (s, w, nodes)
-
-    # w is a witness; the vertices below a gap are decided, so the first
-    # gap (a vertex outside w below w's last vertex) is tried with a search
-    S, X, b, cov = S0, 0, s - m0, cov0
-    while gaps := ((1 << w.bit_length()) - 1) & ~(w | X):
-        bit = gaps & -gaps
-        if w & (bit - 1) & ~S:
-            S, b, cov = include(S, X, b, cov, w & (bit - 1) & ~S)
-        st = include(S, X, b, cov, bit)
-        r = search(st[0], X, st[1], st[2]) if st else -1
-        if r < 0:
-            X |= bit
-        else:
-            w = r
-            S, b, cov = st
-    return (s, w, nodes)
 
 
 def _domatic_search(masks: Sequence[int], k: int, d: int,

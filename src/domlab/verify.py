@@ -4,9 +4,6 @@ Each check_* function returns Report rows; run_sweep assembles the report the
 CLI writes. Discrepancies are recorded, never silently corrected. One known
 open question is allowlisted (reported but non-fatal): the n > 7 case of the
 prism-cycle domatic-pair construction.
-
-The sweep reads only values from gamma_exact, so every call passes
-lex_first=False and skips the kernel's certificate pass.
 """
 
 from __future__ import annotations
@@ -110,8 +107,7 @@ def _timed(fn, *args, **kw):
 
 def _gamma_row(instance: str, family: str, g: Graph, k: int, variant: str,
                verdict: formulas.FormulaVerdict) -> Row:
-    res, ms = _timed(gamma_exact, DominationQuery(g, k, variant),
-                     lex_first=False)
+    res, ms = _timed(gamma_exact, DominationQuery(g, k, variant))
     if not res.feasible:
         match = not verdict.applicable
         return Row(instance, family, g.n, k, variant, "infeasible",
@@ -186,7 +182,7 @@ def check_multipartite() -> list[Row]:
                 if g.min_degree < k:
                     continue
                 q = DominationQuery(g, k, RESTRAINED)
-                res, ms = _timed(gamma_exact, q, lex_first=False)
+                res, ms = _timed(gamma_exact, q)
                 analysis = t0_exact(parts, k)
                 if res.value != analysis.gamma_value:
                     rows.append(Row(f"{fam}|k={k}|t0-gamma-agree", fam, n, k,
@@ -389,8 +385,7 @@ def check_oracle(seed: int, random_count: int) -> list[Row]:
                     continue
                 checked[k, variant] += 1
                 q = DominationQuery(g, k, variant)
-                if (gamma_exact(q, lex_first=False).value
-                        != naive[k, variant].value):
+                if gamma_exact(q).value != naive[k, variant].value:
                     mismatches[k, variant].append(Row(
                         f"oracle:exhaustive:n={n}|k={k}|{variant}|"
                         f"edges={g.edges()}", f"n={n}", n, k, variant,
@@ -406,7 +401,7 @@ def check_oracle(seed: int, random_count: int) -> list[Row]:
     for gid, g in random_suite(seed, random_count, 8, 12):
         naive = gamma_naive_all(g, 3)
         for k, variant in pairs:
-            a = gamma_exact(DominationQuery(g, k, variant), lex_first=False)
+            a = gamma_exact(DominationQuery(g, k, variant))
             b = naive[k, variant]
             ok = (a.feasible, a.value) == (b.feasible, b.value)
             rows.append(Row(f"oracle:{gid}|k={k}|{variant}", gid, g.n, k,
@@ -442,8 +437,8 @@ def check_properties(seed: int, random_count: int) -> list[Row]:
             if g.min_degree < k:
                 continue
             qr = DominationQuery(g, k, RESTRAINED)
-            gt = gamma_exact(DominationQuery(g, k, TOTAL), lex_first=False)
-            gr = gamma_exact(qr, lex_first=False)
+            gt = gamma_exact(DominationQuery(g, k, TOTAL))
+            gr = gamma_exact(qr)
             # one search serves both variants; its partition is checked
             # here as a kTDP, and domatic_exact checked it as a kTRDP
             dr = domatic_exact(qr)
@@ -508,8 +503,7 @@ def check_sandwich() -> list[Row]:
     """Prism sandwich bound at k = 2 over every graph with n <= 7 whose two
     halves both have min degree >= 2."""
     def gamma(h: Graph, k: int) -> int:
-        return gamma_exact(DominationQuery(h, k, RESTRAINED),
-                           lex_first=False).value
+        return gamma_exact(DominationQuery(h, k, RESTRAINED)).value
 
     rows = []
     for n in range(5, 8):

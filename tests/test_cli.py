@@ -7,6 +7,7 @@ import pytest
 from domlab import cli
 from domlab.family_spec import family_graph
 from domlab.graphs import complete
+from domlab.predicates import is_ktrds
 from domlab.solver import (DominationQuery, domatic_exact, gamma_exact,
                            gamma_naive)
 
@@ -29,6 +30,21 @@ def test_gamma_certificate_one_based(capsys):
                        capsys)
     assert code == 0
     assert "{1, 2}" in out
+
+
+def test_gamma_certificate_kernel_and_naive(capsys):
+    # the kernel prints the optimal set its search finds, the oracle the
+    # first one in subset order
+    code, out, _ = run(["gamma", "--family", "prism:cycle:6", "--k", "1",
+                        "--certificate"], capsys)
+    assert code == 0 and "gamma = 4 " in out
+    assert "certificate: {2, 5, 8, 11}" in out
+    # the printed set, 0-based
+    assert is_ktrds(family_graph("prism:cycle:6"), {1, 4, 7, 10}, 1)
+    code, out, _ = run(["gamma", "--family", "prism:cycle:6", "--k", "1",
+                        "--naive", "--certificate"], capsys)
+    assert code == 0 and "gamma = 4 " in out
+    assert "certificate: {1, 4, 7, 10}" in out
 
 
 def test_gamma_infeasible_exit_2(capsys):
@@ -60,34 +76,6 @@ def test_gamma_stats(capsys, argv, work):
     code, out, _ = run(["gamma", "--family", "prism:cycle:6", "--k", "2"],
                        capsys)
     assert not STATS.findall(out)
-
-
-@pytest.mark.parametrize("flags, lex_first", [([], False),
-                                               (["--certificate"], True),
-                                               (["--stats"], True)])
-def test_gamma_runs_the_certificate_pass_only_when_it_shows(
-        capsys, monkeypatch, flags, lex_first):
-    # the pass makes the printed certificate the first optimal set, and
-    # --stats counts its nodes; a plain value does without it
-    calls = []
-    def recording(name):
-        real = getattr(cli, name)
-
-        def solve(q, *args, **kw):
-            calls.append((name, kw))
-            return real(q, *args, **kw)
-        return solve
-
-    for name in ("gamma_exact", "gamma_naive"):
-        monkeypatch.setattr(cli, name, recording(name))
-    code, out, _ = run(["gamma", "--family", "prism:cycle:6", "--k", "2"]
-                       + flags, capsys)
-    assert code == 0 and "gamma = 8" in out
-    code, out, _ = run(["gamma", "--family", "prism:cycle:6", "--k", "2",
-                        "--naive"] + flags, capsys)
-    assert code == 0 and "gamma = 8" in out
-    assert calls == [("gamma_exact", {"lex_first": lex_first}),
-                     ("gamma_naive", {})]
 
 
 def test_domatic_stats(capsys):

@@ -59,23 +59,6 @@ def test_regular_window_rows_are_not_allowlisted():
     assert all(r.match and not r.allowlisted for r in rows)
 
 
-def test_sweep_asks_gamma_exact_for_values_only(monkeypatch):
-    # the sweep reads only values, so every call skips the certificate pass
-    flags = []
-    real = verify.gamma_exact
-
-    def recording(q, *args, **kw):
-        flags.append(kw.get("lex_first", True))
-        return real(q, *args, **kw)
-
-    monkeypatch.setattr(verify, "gamma_exact", recording)
-    for section in ("complete", "multipartite", "prisms", "sandwich"):
-        verify.SECTIONS[section]()
-    verify.check_oracle(7, 3)
-    verify.check_properties(7, 3)
-    assert len(flags) > 1000 and not any(flags)
-
-
 def _module_constant(path: Path, name: str):
     """A literal assigned at module level, read without importing the file."""
     for node in ast.parse(path.read_text()).body:
