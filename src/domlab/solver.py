@@ -8,8 +8,8 @@ gamma_naive is its one-pair case. subset_levels is the one exhaustive subset
 loop. It yields the subsets by increasing size in batches of columns, whole
 sizes joined until a batch holds BATCH_SETS sets, which
 predicates.ktds_batch tests at once for every k it is asked for; it also
-drives enumerate_optimal_sets and the sweep's property suite. t0_exact tests
-one batch holding a set per vector of part counts, with the same predicate.
+drives the sweep's property suite; enumerate_optimal_sets tests the level of
+gamma_naive's size, t0_exact one set per vector of part counts, likewise.
 domatic_exact and enumerate_domatic_partitions share one class-assignment
 search for both variants and re-check each partition it returns with
 is_ktrdp or is_ktdp.
@@ -22,7 +22,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from math import comb, prod
+from math import prod
 from typing import Iterator, Sequence
 
 from .graphs import Graph, bit_indices, complete_multipartite, mask_vertices
@@ -269,24 +269,16 @@ def _naive_scan(g: Graph, ks: Sequence[int], variants: Sequence[str],
 
 def enumerate_optimal_sets(q: DominationQuery,
                            guards: Guards = DEFAULT_GUARDS) -> list[frozenset[int]]:
-    """All minimum-cardinality sets for the variant (empty if infeasible)."""
-    g = q.graph
-    _guard(g.n, guards, "naive_n", "enumerate_optimal_sets")
-    if g.min_degree < q.k:
+    """All minimum-cardinality sets for the variant in subset order (empty
+    if infeasible): the sets of gamma_naive's size that pass."""
+    res = gamma_naive(q, guards)
+    if not res.feasible:
         return []
-    for count, cols in subset_levels(g.n):
-        total, restr = ktds_batch(g.masks, cols, (1 << count) - 1, q.k, q.k,
-                                  q.restrained)
-        hits = (restr if q.restrained else total)[0]
-        if hits:
-            # the batch may run over several sizes: keep the hits of the
-            # lowest hit's size, whose sets end where the next size starts
-            size = len(_column_set(cols, (hits & -hits).bit_length() - 1))
-            end = sum(comb(g.n, t)
-                      for t in range(len(_column_set(cols, 0)), size + 1))
-            return [_column_set(cols, i)
-                    for i in bit_indices(hits & ((1 << end) - 1))]
-    return []
+    count, cols = _level(q.graph.n, res.value)
+    total, restr = ktds_batch(q.graph.masks, cols, (1 << count) - 1, q.k, q.k,
+                              q.restrained)
+    return [_column_set(cols, i)
+            for i in bit_indices((restr if q.restrained else total)[0])]
 
 
 def t0_exact(parts: Sequence[int], k: int,
@@ -380,7 +372,7 @@ def enumerate_domatic_partitions(q: DominationQuery, d: int,
     (classes in first-use order, so label permutations are deduplicated)."""
     g = q.graph
     _guard(g.n, guards, "domatic_n", "enumerate_domatic_partitions")
-    if g.min_degree < q.k:
+    if not 1 <= d <= g.min_degree // q.k:
         return []
     found, _ = _domatic_search(g.masks, q.k, d, first_only=False)
     return [_partition(q, classes) for classes in found]
@@ -441,6 +433,7 @@ def _gamma_search(masks: Sequence[int], k: int,
     forced = 0
     if restrained:
         if s > n - k - 1:
+            # the loop below would answer n too, but after the forced closure
             return (n, full, 0)
         if dmin < 2 * k:
             forced = sum(1 << v for v, d in enumerate(deg) if d < 2 * k)
@@ -562,18 +555,22 @@ def _domatic_search(masks: Sequence[int], k: int, d: int,
     neighbours in every class; returns (class-mask tuples, nodes).
 
     A branch dies once some vertex's deficit, the sum over classes of
-    max(0, k - |N(v) ∩ C|), exceeds its unassigned neighbours. At a leaf
-    every deficit is 0, so every class is a kTDS. Every class is then a
-    kTRDS as well: a vertex outside one class lies in another and has k
-    neighbours there. So one search serves both variants.
+    max(0, k - |N(v) ∩ C|), exceeds its unassigned neighbours. The caller
+    ensures 1 <= d <= min degree // k, so no vertex fails at the root, and
+    placing vertex i changes only its neighbours' counts, so only they are
+    re-tested. At a leaf every deficit is 0, so every class is a kTDS. Every
+    class is then a kTRDS as well: a vertex outside one class lies in
+    another and has k neighbours there. So one search serves both variants.
     """
     n = len(masks)
     classes = [0] * d
     solutions: list[tuple[int, ...]] = []
     nodes = 0
+    # the neighbourhoods of each vertex's neighbours
+    around = [[masks[v] for v in bit_indices(nb)] for nb in masks]
 
     def feasible(i: int) -> bool:
-        for nb in masks:
+        for nb in around[i - 1]:
             need = 0
             for cm in classes:
                 in_c = (nb & cm).bit_count()
@@ -586,8 +583,6 @@ def _domatic_search(masks: Sequence[int], k: int, d: int,
     def rec(i: int, used: int) -> bool:
         nonlocal nodes
         nodes += 1
-        if d - used > n - i:
-            return False
         if i == n:
             solutions.append(tuple(classes))
             return first_only

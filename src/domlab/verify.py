@@ -2,7 +2,7 @@
 
 Each check_* function returns Report rows; run_sweep assembles the report the
 CLI writes. Discrepancies are recorded, never silently corrected. One known
-open question is allowlisted (reported but non-fatal): the n > 7 case of the
+erratum is allowlisted (reported but non-fatal): the n = 5 case of the
 prism-cycle domatic-pair construction.
 """
 
@@ -315,8 +315,8 @@ def check_witnesses() -> list[Row]:
         exp = formulas.f_prism_k1(n).value
         # n = 5: the stated size-4 pair misses vertex 5-bar (no disjoint
         # size-4 pair exists; the claim d >= 2 still holds via larger sets,
-        # confirmed below). n > 7, n = 3 (mod 4): the questionable branch.
-        allow = n == 5 or (n > 7 and n % 4 == 3)
+        # confirmed below).
+        allow = n == 5
         row = _witness_row(f"witness:prism-cycle-pair:{n}",
                            f"prism:cycle:{n}", g, w, 1, exp,
                            variant=TOTAL, allowlisted=allow)

@@ -83,8 +83,8 @@ def witness_prism_cycle_domatic_pair(
         n: int) -> tuple[frozenset[int], frozenset[int]]:
     """Two disjoint total dominating sets of the prism of C_n, by residue.
 
-    The n > 7 case of the source construction is validated, not trusted; the
-    report layer allowlists its failures.
+    The construction is validated, not trusted; the report layer allowlists
+    its one failure, at n = 5.
     """
     if n < 4:
         raise ValueError("witness_prism_cycle_domatic_pair needs n >= 4")

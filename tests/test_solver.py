@@ -273,19 +273,41 @@ def test_subset_levels_run_in_combinations_order():
     assert [len(list(subset_levels(n))) for n in (12, 13, 14)] == [1, 2, 3]
 
 
-def test_enumerate_optimal_sets_cycle():
-    # every minimum set, in combinations order; the batch of n <= 12 holds
-    # every size, and cycle(13)'s minimum sets lie in its second batch
-    graphs = (cycle(4), cycle(9), complementary_prism(cycle(5)), cycle(13))
+def _optimal_sets_by_combinations(g, k, pred):
+    """Every set of the least size that pred accepts, in combinations
+    order; [] when no set is accepted."""
+    for size in range(g.n + 1):
+        sets = [frozenset(s) for s in combinations(range(g.n), size)
+                if pred(g, s, k)]
+        if sets:
+            return sets
+    return []
+
+
+def _assert_optimal_sets_match(graphs):
+    cases = 0
     for g in graphs:
         for k in (1, 2):
             for variant, pred in ((VARIANT_TOTAL, is_ktds),
                                   (VARIANT_RESTRAINED, is_ktrds)):
-                q = DominationQuery(g, k, variant)
-                size = gamma_naive(q).value
-                assert enumerate_optimal_sets(q) == [
-                    frozenset(s) for s in combinations(range(g.n), size)
-                    if pred(g, s, k)], (g.edges(), k, variant)
+                got = enumerate_optimal_sets(DominationQuery(g, k, variant))
+                assert got == _optimal_sets_by_combinations(g, k, pred), \
+                    (g.edges(), k, variant)
+                cases += 1
+    return cases
+
+
+def test_enumerate_optimal_sets_cycle():
+    # every minimum set, in combinations order; cycle(13)'s minimum sets lie
+    # past gamma_naive's first batch
+    _assert_optimal_sets_match((cycle(4), cycle(9),
+                                complementary_prism(cycle(5)), cycle(13)))
+
+
+def test_enumerate_optimal_sets_matches_combinations_scan():
+    # every graph up to six vertices, infeasible pairs ([]) among them
+    graphs = [g for n in range(1, 7) for g in all_graphs(n)]
+    assert _assert_optimal_sets_match(graphs) == 832
 
 
 def test_domatic_complete_graphs():
@@ -349,6 +371,38 @@ def test_enumerate_domatic_partitions_complete4():
     assert len(parts) == 3
     for p in parts:
         assert is_ktrdp(g, p, 1)
+
+
+def test_enumerate_domatic_partitions_outside_range():
+    # d = 1 is V itself; past min degree // k no class count is possible
+    k5 = DominationQuery(complete(5), 1)
+    assert [len(enumerate_domatic_partitions(k5, d)) for d in range(6)] == \
+        [0, 1, 10, 0, 0, 0]
+    c5 = DominationQuery(cycle(5), 2)
+    assert [len(enumerate_domatic_partitions(c5, d)) for d in range(3)] == \
+        [0, 1, 0]
+
+
+# domatic_exact's search nodes summed over all_graphs(n) for each (n, k)
+# with min degree >= k; every pair not listed sums to 0
+DOMATIC_NODE_PINS = {(4, 1): 17, (5, 1): 80, (6, 1): 769, (6, 2): 50,
+                     (7, 1): 8_370, (7, 2): 489}
+
+
+def test_domatic_node_pins():
+    got = {}
+    cases = 0
+    for n in range(1, 8):
+        for g in all_graphs(n):
+            for k in (1, 2):
+                if g.min_degree < k:
+                    continue
+                nodes = domatic_exact(DominationQuery(g, k)).nodes_explored
+                if nodes:
+                    got[n, k] = got.get((n, k), 0) + nodes
+                cases += 1
+    assert got == DOMATIC_NODE_PINS
+    assert cases == 1_630
 
 
 def test_t0_exact_matches_gamma():
