@@ -1,8 +1,14 @@
 """domlab: exact computation and verification for k-tuple total (restrained)
-domination and domatic numbers on small graphs."""
+domination and domatic numbers on small graphs.
 
-from .family_spec import FamilySpecError, family_graph
-from .formulas import FormulaVerdict
+`import domlab` loads the solver and what it needs: `graphs`, `predicates`
+and `solver`. The verification sweep (`verify`, `witnesses`, `formulas`,
+`smallgraphs`), the family-spec parser and the CLI load on first access to
+one of their names, so a solve does not pay for them.
+"""
+
+import importlib
+
 from .graphs import (Graph, build_graph, complement, complementary_prism,
                      complete, complete_bipartite, complete_multipartite,
                      corona_k1, cycle, k_join, path, read_edge_list,
@@ -12,8 +18,6 @@ from .solver import (DominationQuery, Guards, GuardExceeded, SolveResult,
                      active_backend, domatic_exact, enumerate_domatic_partitions,
                      enumerate_optimal_sets, gamma_exact, gamma_naive,
                      gamma_naive_all, t0_exact)
-from .verify import Report, SweepConfig, run_sweep
-from .witnesses import validate_witness
 
 __version__ = "0.1.0"
 
@@ -28,3 +32,22 @@ __all__ = [
     "gamma_naive", "gamma_naive_all", "t0_exact", "Report", "SweepConfig",
     "run_sweep", "validate_witness", "__version__",
 ]
+
+# name -> the submodule that defines it, loaded on first access
+_LAZY = {
+    "FamilySpecError": "family_spec", "family_graph": "family_spec",
+    "FormulaVerdict": "formulas", "Report": "verify", "SweepConfig": "verify",
+    "run_sweep": "verify", "validate_witness": "witnesses",
+}
+_SUBMODULES = ("cli", "family_spec", "formulas", "smallgraphs", "verify",
+               "witnesses")
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        # importing a submodule binds it on the package
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _LAZY:
+        return getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"),
+                       name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

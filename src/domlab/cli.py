@@ -11,10 +11,8 @@ import sys
 
 from .family_spec import FamilySpecError, family_graph
 from .graphs import Graph, read_edge_list, write_edge_list
-from .solver import (DominationQuery, Guards, GuardExceeded, active_backend,
-                     domatic_exact, gamma_exact, gamma_naive)
-from .verify import (Report, SweepConfig, _timed, run_sweep, write_csv,
-                     write_markdown)
+from .solver import (DominationQuery, Guards, GuardExceeded, _timed,
+                     active_backend, domatic_exact, gamma_exact, gamma_naive)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -98,11 +96,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="subset of sweep sections (default: all)")
     p_ver.add_argument("--format", default="csv", choices=["csv", "markdown"])
     p_ver.add_argument("--out", help="report file (default stdout)")
-    p_ver.add_argument("--seed", type=int, default=SweepConfig.seed)
-    p_ver.add_argument("--oracle-random", type=_count,
-                       default=SweepConfig.oracle_random)
-    p_ver.add_argument("--property-random", type=_count,
-                       default=SweepConfig.property_random)
+    # left out, these take SweepConfig's defaults
+    p_ver.add_argument("--seed", type=int)
+    p_ver.add_argument("--oracle-random", type=_count)
+    p_ver.add_argument("--property-random", type=_count)
     p_ver.add_argument("--timings", action="store_true",
                        help="fill runtime_ms (reports stop being byte-stable)")
     return parser
@@ -154,8 +151,7 @@ def _cmd_construct(args) -> int:
     return EXIT_OK
 
 
-def _write_report(report: Report, args) -> None:
-    writer = write_csv if args.format == "csv" else write_markdown
+def _write_report(writer, report, args) -> None:
     if args.out:
         with open(args.out, "w") as fh:
             writer(report, fh, timings=args.timings)
@@ -164,11 +160,16 @@ def _write_report(report: Report, args) -> None:
 
 
 def _cmd_verify(args) -> int:
-    config = SweepConfig(sections=tuple(args.sections or ()), seed=args.seed,
-                         oracle_random=args.oracle_random,
-                         property_random=args.property_random)
+    # the sweep's modules load only for this command
+    from .verify import SweepConfig, run_sweep, write_csv, write_markdown
+
+    given = {name: getattr(args, name)
+             for name in ("seed", "oracle_random", "property_random")
+             if getattr(args, name) is not None}
+    config = SweepConfig(sections=tuple(args.sections or ()), **given)
     report = run_sweep(config)
-    _write_report(report, args)
+    _write_report(write_csv if args.format == "csv" else write_markdown,
+                  report, args)
     disc = report.discrepancies
     allow = report.allowlisted_failures
     print(f"rows={report.total} matched={report.matched} "

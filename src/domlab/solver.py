@@ -18,6 +18,7 @@ is_ktrdp or is_ktdp.
 from __future__ import annotations
 
 import os
+import time
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
@@ -78,6 +79,14 @@ class SolveResult:
     value: int | None
     certificate: object  # frozenset, tuple of frozensets, or None
     nodes_explored: int = 0
+
+
+def _timed(fn, *args, **kw):
+    """fn's result and the milliseconds it took; a SolveResult carries no
+    time, so callers that report one time the call."""
+    t0 = time.perf_counter()
+    out = fn(*args, **kw)
+    return out, (time.perf_counter() - t0) * 1000.0
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from .predicates import is_ktdp, ktds_batch
 from .smallgraphs import all_graphs
 from .solver import (VARIANT_RESTRAINED as RESTRAINED,
                      VARIANT_TOTAL as TOTAL, DominationQuery, SolveResult,
-                     domatic_exact, enumerate_domatic_partitions,
+                     _timed, domatic_exact, enumerate_domatic_partitions,
                      enumerate_optimal_sets, gamma_exact, gamma_naive,
                      gamma_naive_all, subset_levels, t0_exact)
 from .witnesses import (validate_witness, witness_complement_cycle,
@@ -97,12 +97,6 @@ class Report:
 
 def _render(res: SolveResult) -> str:
     return str(res.value) if res.feasible else "infeasible"
-
-
-def _timed(fn, *args, **kw):
-    t0 = time.perf_counter()
-    out = fn(*args, **kw)
-    return out, (time.perf_counter() - t0) * 1000.0
 
 
 def _gamma_row(instance: str, family: str, g: Graph, k: int, variant: str,

@@ -10,6 +10,7 @@ from domlab.graphs import complete
 from domlab.predicates import is_ktrds
 from domlab.solver import (DominationQuery, domatic_exact, gamma_exact,
                            gamma_naive)
+from domlab.verify import CSV_COLUMNS, SweepConfig, run_sweep, write_csv
 
 
 def run(argv, capsys):
@@ -212,3 +213,36 @@ def test_verify_rejects_negative_random_count(capsys, flag):
                        capsys)
     assert code == 1
     assert f"argument {flag}" in err and "'-3'" in err
+
+
+def sweep_csv(**config) -> str:
+    buf = io.StringIO()
+    write_csv(run_sweep(SweepConfig(**config)), buf)
+    return buf.getvalue()
+
+
+def test_verify_defaults_are_sweep_config_defaults(capsys):
+    sections = ("oracle", "properties")
+    code, out, _ = run(["verify-paper", "--sections", *sections], capsys)
+    assert code == 0
+    assert out == sweep_csv(sections=sections)
+    assert len(out.splitlines()) > 2500
+
+
+@pytest.mark.parametrize("flag, field, section", [
+    ("--seed", "seed", "properties"),
+    ("--oracle-random", "oracle_random", "oracle"),
+    ("--property-random", "property_random", "properties")])
+def test_verify_honours_explicit_zero(capsys, flag, field, section):
+    # seed 0 draws property graphs on which a property row fails (exit 3)
+    _, out, _ = run(["verify-paper", "--sections", section, flag, "0"],
+                    capsys)
+    assert out == sweep_csv(sections=(section,), **{field: 0})
+    assert out != sweep_csv(sections=(section,))
+
+
+def test_verify_property_random_zero_leaves_the_header(capsys):
+    code, out, _ = run(["verify-paper", "--sections", "properties",
+                        "--property-random", "0"], capsys)
+    assert code == 0
+    assert out.splitlines() == [",".join(CSV_COLUMNS)]
