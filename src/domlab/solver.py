@@ -8,11 +8,12 @@ gamma_naive is its one-pair case. subset_levels is the one exhaustive subset
 loop. It yields the subsets by increasing size in batches of columns, whole
 sizes joined until a batch holds BATCH_SETS sets, which
 predicates.ktds_batch tests at once for every k it is asked for; it also
-drives the sweep's property suite; enumerate_optimal_sets tests the level of
-gamma_naive's size, t0_exact one set per vector of part counts, likewise.
-domatic_exact and enumerate_domatic_partitions share one class-assignment
-search for both variants and re-check each partition it returns with
-is_ktrdp or is_ktdp.
+drives the sweep's property suite; t0_exact tests one set per vector of
+part counts, likewise. Each enumerator is the rest of its solver's search:
+enumerate_optimal_sets lists the hits of gamma_naive's size in the batch
+where its scan stopped, and enumerate_domatic_partitions every partition of
+the class-assignment search whose first one domatic_exact takes (one search
+for both variants, each partition re-checked with is_ktrdp or is_ktdp).
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
-from math import prod
+from itertools import accumulate, takewhile
+from math import comb, prod
 from typing import Iterator, Sequence
 
 from .graphs import Graph, bit_indices, complete_multipartite, mask_vertices
@@ -155,37 +156,34 @@ def subset_levels(n: int) -> Iterator[tuple[int, tuple[int, ...]]]:
 @lru_cache(maxsize=128)
 def _batch(n: int, size: int) -> tuple[int, tuple[int, ...], int]:
     """The batch that starts with the size-subsets of range(n), as
-    (count, cols, the size the next batch starts with)."""
-    count, cols = _level(n, size)
-    size += 1
-    while size <= n and count < BATCH_SETS:
-        more, level = _level(n, size)
-        cols = tuple(x | y << count for x, y in zip(cols, level))
-        count += more
-        size += 1
-    return count, cols, size
+    (count, cols, the size the next batch starts with); it ends at the first
+    size that takes it to BATCH_SETS sets.
 
-
-def _level(n: int, size: int) -> tuple[int, tuple[int, ...]]:
-    """The size-subsets of range(n) as (count, cols), by the Pascal recursion
-    on the first vertex: the sets containing it come first, then the ones
-    without it, each part over the remaining vertices in the same order.
-
-    row[t] holds the size-t subsets of the last m vertices, for the t that
-    can still reach size; earlier rows are dropped, so nothing but whole
-    levels outlives the call.
+    All its sizes come from one Pascal recursion on the first vertex: the
+    sets containing it come first, then the ones without it, each part over
+    the remaining vertices in the same order. row[t] holds the t-subsets of
+    the last m vertices, for the t that can still reach a size of the batch.
     """
+    count, end = 0, size
+    while end <= n and count < BATCH_SETS:
+        count += comb(n, end)
+        end += 1
     row = {0: (1, ())}
     for m in range(1, n + 1):
         none = (0, (0,) * (m - 1))
         new = {}
-        for t in range(max(0, size - n + m), min(size, m) + 1):
+        for t in range(max(0, size - n + m), min(end - 1, m) + 1):
             a, inc = row.get(t - 1, none)
             b, exc = row.get(t, none)
             new[t] = (a + b, ((1 << a) - 1,
                               *(x | y << a for x, y in zip(inc, exc))))
         row = new
-    return row[size]
+    count, cols = row[size]
+    for t in range(size + 1, end):
+        more, level = row[t]
+        cols = tuple(x | y << count for x, y in zip(cols, level))
+        count += more
+    return count, cols, end
 
 
 def _column_set(cols: Sequence[int], i: int) -> frozenset[int]:
@@ -197,8 +195,8 @@ def gamma_exact(q: DominationQuery,
                 guards: Guards = DEFAULT_GUARDS) -> SolveResult:
     """Minimum kTDS/kTRDS size via the pruned search (_gamma_search).
 
-    The certificate is the minimum set the search finds. gamma_naive and
-    enumerate_optimal_sets give the first one in subset order.
+    The certificate is the minimum set the search finds. gamma_naive gives
+    the first one in subset order, which enumerate_optimal_sets lists first.
     """
     g = q.graph
     _guard(g.n, guards, "gamma_n", "gamma_exact")
@@ -216,7 +214,8 @@ def gamma_naive(q: DominationQuery,
     order, found by the scan gamma_naive_all runs for many pairs at once
     (_naive_scan); nodes_explored is its 1-based rank in that order.
     """
-    return _naive_scan(q.graph, (q.k,), (q.variant,), guards)[q.k, q.variant]
+    return _naive_scan(q.graph, (q.k,), (q.variant,),
+                       guards)[q.k, q.variant][0]
 
 
 def gamma_naive_all(g: Graph, kmax: int, guards: Guards = DEFAULT_GUARDS
@@ -225,14 +224,16 @@ def gamma_naive_all(g: Graph, kmax: int, guards: Guards = DEFAULT_GUARDS
     keyed by (k, variant), from one scan of the subsets."""
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    return _naive_scan(g, range(1, kmax + 1),
-                       (VARIANT_TOTAL, VARIANT_RESTRAINED), guards)
+    found = _naive_scan(g, range(1, kmax + 1),
+                        (VARIANT_TOTAL, VARIANT_RESTRAINED), guards)
+    return {pair: res for pair, (res, _, _) in found.items()}
 
 
 def _naive_scan(g: Graph, ks: Sequence[int], variants: Sequence[str],
-                guards: Guards) -> dict[tuple[int, str], SolveResult]:
+                guards: Guards) -> dict[tuple[int, str], tuple]:
     """The first set of each (k, variant) pair in one scan of
-    subset_levels(g.n).
+    subset_levels(g.n), as (result, cols, hits): the batch where the scan
+    found it and the pair's hit mask there (() and 0 when infeasible).
 
     Each batch is tested with one ktds_batch call for every k still open,
     from the least to the greatest. A pair's first set is the lowest bit of
@@ -244,7 +245,7 @@ def _naive_scan(g: Graph, ks: Sequence[int], variants: Sequence[str],
     it. Pairs with minimum degree below k are infeasible and never open.
     """
     _guard(g.n, guards, "naive_n", "gamma_naive")
-    infeasible = SolveResult(False, None, None)
+    infeasible = (SolveResult(False, None, None), (), 0)
     out = {(k, v): infeasible for k in ks for v in variants}
     todo = [(k, v) for k, v in out if k <= g.min_degree]
     if not todo:
@@ -267,8 +268,8 @@ def _naive_scan(g: Graph, ks: Sequence[int], variants: Sequence[str],
             if not (is_ktrds if restrained else is_ktds)(g, cert, k):
                 raise RuntimeError(f"gamma_naive: {sorted(cert)} passes the "
                                    "column predicate but not the set form")
-            out[k, v] = SolveResult(True, len(cert), cert,
-                                    checked + first + 1)
+            out[k, v] = (SolveResult(True, len(cert), cert,
+                                     checked + first + 1), cols, hits)
         todo = left
         if not todo:
             break
@@ -279,15 +280,13 @@ def _naive_scan(g: Graph, ks: Sequence[int], variants: Sequence[str],
 def enumerate_optimal_sets(q: DominationQuery,
                            guards: Guards = DEFAULT_GUARDS) -> list[frozenset[int]]:
     """All minimum-cardinality sets for the variant in subset order (empty
-    if infeasible): the sets of gamma_naive's size that pass."""
-    res = gamma_naive(q, guards)
-    if not res.feasible:
-        return []
-    count, cols = _level(q.graph.n, res.value)
-    total, restr = ktds_batch(q.graph.masks, cols, (1 << count) - 1, q.k, q.k,
-                              q.restrained)
-    return [_column_set(cols, i)
-            for i in bit_indices((restr if q.restrained else total)[0])]
+    if infeasible): the hits of gamma_naive's size in the batch where its
+    scan found the first one. A batch holds whole sizes, so they all lie
+    there, ahead of the larger sets."""
+    res, cols, hits = _naive_scan(q.graph, (q.k,), (q.variant,),
+                                  guards)[q.k, q.variant]
+    return list(takewhile(lambda s: len(s) == res.value,
+                          (_column_set(cols, i) for i in bit_indices(hits))))
 
 
 def t0_exact(parts: Sequence[int], k: int,
@@ -367,10 +366,10 @@ def domatic_exact(q: DominationQuery,
     cap = min(g.n // (q.k + 1), g.min_degree // q.k)
     nodes = 0
     for d in range(cap, 1, -1):
-        found, searched = _domatic_search(g.masks, q.k, d, first_only=True)
+        found, searched = next(_domatic_search(g.masks, q.k, d))
         nodes += searched
         if found:
-            return SolveResult(True, d, _partition(q, found[0]), nodes)
+            return SolveResult(True, d, _partition(q, found), nodes)
     return SolveResult(True, 1, _partition(q, ((1 << g.n) - 1,)), nodes)
 
 
@@ -383,8 +382,8 @@ def enumerate_domatic_partitions(q: DominationQuery, d: int,
     _guard(g.n, guards, "domatic_n", "enumerate_domatic_partitions")
     if not 1 <= d <= g.min_degree // q.k:
         return []
-    found, _ = _domatic_search(g.masks, q.k, d, first_only=False)
-    return [_partition(q, classes) for classes in found]
+    return [_partition(q, classes)
+            for classes, _ in _domatic_search(g.masks, q.k, d) if classes]
 
 
 def _partition(q: DominationQuery,
@@ -402,9 +401,9 @@ def _gamma_search(masks: Sequence[int], k: int,
                   restrained: bool) -> tuple[int, int, int]:
     """Minimum size of a kTDS (kTRDS when restrained) over the adjacency
     bitmasks; returns (value, certificate mask, nodes), the certificate being
-    the minimum set the search finds at s = value (gamma_naive and
-    enumerate_optimal_sets give the first one in subset order). The caller
-    ensures n >= 1 and minimum degree >= k.
+    the minimum set the search finds at s = value (gamma_naive gives the
+    first one in subset order, enumerate_optimal_sets all of them). The
+    caller ensures n >= 1 and minimum degree >= k.
 
     Iterative deepening over the size s. A node (a call of search) holds S,
     the excluded set X, the budget b = s - |S| and bit-sliced counters cov:
@@ -558,10 +557,11 @@ def _gamma_search(masks: Sequence[int], k: int,
         s += 1
 
 
-def _domatic_search(masks: Sequence[int], k: int, d: int,
-                    first_only: bool) -> tuple[list[tuple[int, ...]], int]:
+def _domatic_search(masks: Sequence[int], k: int, d: int
+                    ) -> Iterator[tuple[tuple[int, ...] | None, int]]:
     """Assign vertices 0..n-1 to d classes so that every vertex has k
-    neighbours in every class; returns (class-mask tuples, nodes).
+    neighbours in every class. Yields (class masks, nodes so far) for each
+    partition, in search order, then (None, nodes) once the search is done.
 
     A branch dies once some vertex's deficit, the sum over classes of
     max(0, k - |N(v) ∩ C|), exceeds its unassigned neighbours. The caller
@@ -573,7 +573,6 @@ def _domatic_search(masks: Sequence[int], k: int, d: int,
     """
     n = len(masks)
     classes = [0] * d
-    solutions: list[tuple[int, ...]] = []
     nodes = 0
     # the neighbourhoods of each vertex's neighbours
     around = [[masks[v] for v in bit_indices(nb)] for nb in masks]
@@ -589,19 +588,18 @@ def _domatic_search(masks: Sequence[int], k: int, d: int,
                 return False
         return True
 
-    def rec(i: int, used: int) -> bool:
+    def rec(i: int, used: int) -> Iterator[tuple[tuple[int, ...], int]]:
         nonlocal nodes
         nodes += 1
         if i == n:
-            solutions.append(tuple(classes))
-            return first_only
+            yield tuple(classes), nodes
+            return
         bit = 1 << i
         for c in range(min(used + 1, d)):
             classes[c] |= bit
-            if feasible(i + 1) and rec(i + 1, max(used, c + 1)):
-                return True
+            if feasible(i + 1):
+                yield from rec(i + 1, max(used, c + 1))
             classes[c] &= ~bit
-        return False
 
-    rec(0, 0)
-    return (solutions, nodes)
+    yield from rec(0, 0)
+    yield None, nodes

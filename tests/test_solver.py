@@ -273,6 +273,20 @@ def test_subset_levels_run_in_combinations_order():
     assert [len(list(subset_levels(n))) for n in (12, 13, 14)] == [1, 2, 3]
 
 
+def test_batch_boundaries_at_the_naive_caps():
+    # (sets, next size) of the batches the README names; each build is
+    # fresh, past the cache
+    build = solver._batch.__wrapped__
+    got = [build(n, size)[::2]
+           for n, size in ((24, 0), (24, 20), (24, 21), (20, 0), (20, 17))]
+    assert got == [(12_951, 5), (10_626, 21), (2_325, 25), (6_196, 5),
+                   (1_351, 21)]
+    count, cols, _ = build(24, 21)
+    assert [tuple(u for u in range(24) if cols[u] >> i & 1)
+            for i in range(count)] == \
+        [s for size in range(21, 25) for s in combinations(range(24), size)]
+
+
 def _optimal_sets_by_combinations(g, k, pred):
     """Every set of the least size that pred accepts, in combinations
     order; [] when no set is accepted."""
@@ -308,6 +322,34 @@ def test_enumerate_optimal_sets_matches_combinations_scan():
     # every graph up to six vertices, infeasible pairs ([]) among them
     graphs = [g for n in range(1, 7) for g in all_graphs(n)]
     assert _assert_optimal_sets_match(graphs) == 832
+
+
+def test_enumerate_optimal_sets_tests_only_what_gamma_naive_tests(
+        monkeypatch):
+    # the enumerator reads the batch where gamma_naive's scan stopped, so
+    # it makes that scan's ktds_batch calls and no other; cycle(13)'s scan
+    # runs over two batches, and infeasible pairs make none
+    calls = []
+    batch = solver.ktds_batch
+
+    def counted(*args):
+        calls.append(args)
+        return batch(*args)
+
+    monkeypatch.setattr(solver, "ktds_batch", counted)
+    scans = []
+    for g in (cycle(13), *all_graphs(7)[::25]):
+        for k in (1, 2, 3):
+            for variant in (VARIANT_TOTAL, VARIANT_RESTRAINED):
+                q = DominationQuery(g, k, variant)
+                calls.clear()
+                gamma_naive(q)
+                scan = calls[:]
+                calls.clear()
+                enumerate_optimal_sets(q)
+                assert calls == scan, (g.edges(), k, variant)
+                scans.append(len(scan))
+    assert {c: scans.count(c) for c in set(scans)} == {0: 140, 1: 114, 2: 4}
 
 
 def test_domatic_complete_graphs():
@@ -403,6 +445,25 @@ def test_domatic_node_pins():
                 cases += 1
     assert got == DOMATIC_NODE_PINS
     assert cases == 1_630
+
+
+def test_domatic_certificate_is_first_enumerated_partition():
+    # domatic_exact takes the first partition of the search that
+    # enumerate_domatic_partitions runs to the end
+    cases = 0
+    for n in range(1, 8):
+        for g in all_graphs(n):
+            for k in (1, 2):
+                for variant in (VARIANT_TOTAL, VARIANT_RESTRAINED):
+                    q = DominationQuery(g, k, variant)
+                    res = domatic_exact(q)
+                    if not res.feasible or res.value < 2:
+                        continue
+                    assert res.certificate == \
+                        enumerate_domatic_partitions(q, res.value)[0], \
+                        (g.edges(), k, variant)
+                    cases += 1
+    assert cases == 1_158
 
 
 def test_t0_exact_matches_gamma():
