@@ -23,8 +23,9 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, takewhile
+from itertools import accumulate
 from math import comb, prod
+from operator import neg
 from typing import Iterator, Sequence
 
 from .graphs import Graph, bit_indices, complete_multipartite, mask_vertices
@@ -282,11 +283,16 @@ def enumerate_optimal_sets(q: DominationQuery,
     """All minimum-cardinality sets for the variant in subset order (empty
     if infeasible): the hits of gamma_naive's size in the batch where its
     scan found the first one. A batch holds whole sizes, so they all lie
-    there, ahead of the larger sets."""
+    there, ahead of the larger sets; the hits are cut at the first set of
+    size value + 1, so only those of gamma_naive's size are listed."""
     res, cols, hits = _naive_scan(q.graph, (q.k,), (q.variant,),
                                   guards)[q.k, q.variant]
-    return list(takewhile(lambda s: len(s) == res.value,
-                          (_column_set(cols, i) for i in bit_indices(hits))))
+    if not hits:
+        return []
+    # nodes_explored counts the batches before this one and the first hit
+    before = res.nodes_explored - (hits & -hits).bit_length()
+    end = sum(comb(q.graph.n, j) for j in range(res.value + 1)) - before
+    return [_column_set(cols, i) for i in bit_indices(hits & ((1 << end) - 1))]
 
 
 def t0_exact(parts: Sequence[int], k: int,
@@ -423,21 +429,28 @@ def _gamma_search(masks: Sequence[int], k: int,
     neighbours with k neighbours in S and degree below s + k are tested.
 
     Pruning: s starts at k + 1 and at the smallest s whose s largest degrees
-    sum to k*n; restrained, s in (n-k-1, n) is skipped, since a proper
-    kTRDS leaves at least k + 1 vertices outside. A branch dies when a vertex
-    lacks more than b (plane k-1-b of cov is not full) or has fewer than k
-    neighbours outside X. Once X is not empty and D > b, it dies when
-    deficient vertices with pairwise disjoint undecided neighbourhoods need
-    more than b inclusions (packing). gamma_naive is the independent oracle
-    this search is tested against.
+    sum to k*n. Once that level fails, the next is the demand bound of the
+    low-degree vertices when it is higher (_next_level; computed only then,
+    since it costs about as much as a small search's level). Each level's
+    search depends only on s, S0 and cov0, and nothing but the node count
+    passes from one level to the next, so a start at most the minimum size
+    only skips levels that fail, and the value and certificate are those
+    that level gives from any such start. Restrained, s in (n-k-1, n) is
+    skipped, since a proper kTRDS leaves at least k + 1 vertices outside.
+    A branch dies when a vertex lacks more than b (plane k-1-b of cov is
+    not full) or has fewer than k neighbours outside X. Once X is not empty
+    and D > b, it dies when deficient vertices with pairwise disjoint
+    undecided neighbourhoods need more than b inclusions (packing).
+    gamma_naive is the independent oracle this search is tested against.
     """
     n = len(masks)
     full = (1 << n) - 1
     kn = k * n
-    deg = [nb.bit_count() for nb in masks]
-    s = max(bisect_left(list(accumulate(sorted(deg, reverse=True))), kn) + 1,
-            k + 1)
-    dmin = min(deg)
+    deg = list(map(int.bit_count, masks))
+    ranked = sorted(deg, reverse=True)
+    reach = list(accumulate(ranked))
+    s = max(bisect_left(reach, kn) + 1, k + 1)
+    dmin = ranked[-1]
     forced = 0
     if restrained:
         if s > n - k - 1:
@@ -542,19 +555,53 @@ def _gamma_search(masks: Sequence[int], k: int,
     S0, _, cov0 = include(0, 0, n, 0, forced)
     m0 = S0.bit_count()
     s = max(s, m0)
+    first = True
     while True:
         if restrained and s > n - k - 1:
             s = n
         if s == n:
             return (n, full, nodes)
         if restrained:
-            risky = sum(1 << v for v, d in enumerate(deg) if d < s + k)
+            # every vertex once s + k exceeds the largest degree
+            risky = (full if ranked[0] < s + k else
+                     sum(1 << v for v, d in enumerate(deg) if d < s + k))
         b = s - m0
         if b >= k or (cov0 >> (k - 1 - b) * n) & full == full:
             w = search(S0, 0, b, cov0)
             if w >= 0:
                 return (s, w, nodes)
-        s += 1
+        s = _next_level(masks, deg, ranked, reach, k, s) if first else s + 1
+        first = False
+
+
+def _next_level(masks: Sequence[int], deg: Sequence[int],
+                ranked: Sequence[int], reach: Sequence[int], k: int,
+                s: int) -> int:
+    """The size _gamma_search tries after its first level s failed: s + 1,
+    or the demand bound of L when that is higher. L is the vertices of
+    degree at most the minimum degree plus k; ranked is the degrees in
+    descending order and reach their running sums.
+
+    Each vertex of L has k neighbours in a kTDS S, so the counts |N(u) & L|
+    over u in S sum to at least k|L|, and |S| is at least the number of the
+    largest counts it takes to reach k|L|. The bound is built only when it
+    can exceed s + 1. It cannot when k|L| <= s + 1: k neighbours of each
+    vertex of L reach k|L|. Nor can it when the s + 1 vertices of largest
+    degree reach k|L| with counts that follow from the degrees alone: with
+    H the vertices above L, u has at least deg(u) - |H| neighbours in L,
+    and one more when u is in H, since u is not its own neighbour.
+    """
+    n = len(ranked)
+    t = ranked[-1] + k
+    # ranked is descending, so this counts the vertices of degree above t
+    high = bisect_left(ranked, -t, key=neg)
+    need = k * (n - high)
+    if (need <= s + 1
+            or reach[s] - (s + 1) * high + min(high, s + 1) >= need):
+        return s + 1
+    low = sum([1 << v for v, d in enumerate(deg) if d <= t])
+    counts = sorted([(nb & low).bit_count() for nb in masks], reverse=True)
+    return max(s + 1, bisect_left(list(accumulate(counts)), need) + 1)
 
 
 def _domatic_search(masks: Sequence[int], k: int, d: int

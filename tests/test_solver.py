@@ -1,6 +1,6 @@
 import random
 from dataclasses import fields
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from math import comb
 
 import pytest
@@ -56,7 +56,7 @@ def test_certificate_is_lex_smallest():
 
 
 # gamma_exact's node count and certificate on the prisms of C_n and P_n,
-# n = 6..9 (variant t = total, r = total-restrained); 1,208 nodes in all.
+# n = 6..9 (variant t = total, r = total-restrained); 1,040 nodes in all.
 # A kernel change that moves these updates the table and says so.
 PRISM_SEARCH_PINS = {
     ("cycle", 6, 1, "t"): (18, (1, 4, 7, 10)),
@@ -69,11 +69,11 @@ PRISM_SEARCH_PINS = {
     ("cycle", 7, 2, "r"): (3, (0, 1, 2, 3, 4, 5, 6, 9, 12)),
     ("cycle", 8, 1, "t"): (98, (0, 1, 2, 4, 5, 9)),
     ("cycle", 8, 1, "r"): (98, (0, 1, 2, 4, 5, 9)),
-    ("cycle", 8, 2, "t"): (90, (0, 1, 2, 3, 4, 5, 6, 7, 10, 13)),
+    ("cycle", 8, 2, "t"): (79, (0, 1, 2, 3, 4, 5, 6, 7, 10, 13)),
     ("cycle", 8, 2, "r"): (3, (0, 1, 2, 3, 4, 5, 6, 7, 10, 13)),
-    ("cycle", 9, 1, "t"): (79, (0, 1, 2, 5, 6, 10)),
-    ("cycle", 9, 1, "r"): (79, (0, 1, 2, 5, 6, 10)),
-    ("cycle", 9, 2, "t"): (126, (0, 1, 2, 3, 4, 5, 6, 7, 8, 11, 14)),
+    ("cycle", 9, 1, "t"): (69, (0, 1, 2, 5, 6, 10)),
+    ("cycle", 9, 1, "r"): (69, (0, 1, 2, 5, 6, 10)),
+    ("cycle", 9, 2, "t"): (102, (0, 1, 2, 3, 4, 5, 6, 7, 8, 11, 14)),
     ("cycle", 9, 2, "r"): (3, (0, 1, 2, 3, 4, 5, 6, 7, 8, 11, 14)),
     ("path", 6, 1, "t"): (11, (1, 4, 7, 10)),
     ("path", 6, 1, "r"): (11, (1, 4, 7, 10)),
@@ -81,16 +81,16 @@ PRISM_SEARCH_PINS = {
     ("path", 6, 2, "r"): (5, (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)),
     ("path", 7, 1, "t"): (19, (0, 1, 4, 5, 7)),
     ("path", 7, 1, "r"): (19, (0, 1, 4, 5, 7)),
-    ("path", 7, 2, "t"): (31, (0, 1, 2, 3, 4, 5, 6, 7, 13)),
-    ("path", 7, 2, "r"): (3, (0, 1, 2, 3, 4, 5, 6, 7, 13)),
+    ("path", 7, 2, "t"): (14, (0, 1, 2, 3, 4, 5, 6, 7, 13)),
+    ("path", 7, 2, "r"): (2, (0, 1, 2, 3, 4, 5, 6, 7, 13)),
     ("path", 8, 1, "t"): (32, (1, 4, 5, 9, 15)),
     ("path", 8, 1, "r"): (32, (1, 4, 5, 9, 15)),
-    ("path", 8, 2, "t"): (46, (0, 1, 2, 3, 4, 5, 6, 7, 8, 15)),
-    ("path", 8, 2, "r"): (3, (0, 1, 2, 3, 4, 5, 6, 7, 8, 15)),
-    ("path", 9, 1, "t"): (51, (0, 1, 4, 7, 13, 16)),
-    ("path", 9, 1, "r"): (51, (0, 1, 4, 7, 13, 16)),
-    ("path", 9, 2, "t"): (60, (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 17)),
-    ("path", 9, 2, "r"): (3, (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 17)),
+    ("path", 8, 2, "t"): (14, (0, 1, 2, 3, 4, 5, 6, 7, 8, 15)),
+    ("path", 8, 2, "r"): (2, (0, 1, 2, 3, 4, 5, 6, 7, 8, 15)),
+    ("path", 9, 1, "t"): (43, (0, 1, 4, 7, 13, 16)),
+    ("path", 9, 1, "r"): (43, (0, 1, 4, 7, 13, 16)),
+    ("path", 9, 2, "t"): (15, (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 17)),
+    ("path", 9, 2, "r"): (2, (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 17)),
 }
 
 
@@ -102,7 +102,7 @@ def test_gamma_exact_prism_node_counts_pinned():
         res = gamma_exact(DominationQuery(g, k, variant))
         got[fam, n, k, v] = (res.nodes_explored, tuple(sorted(res.certificate)))
     assert got == PRISM_SEARCH_PINS
-    assert sum(nodes for nodes, _ in got.values()) == 1208
+    assert sum(nodes for nodes, _ in got.values()) == 1040
 
 
 def _check_kernel_against_oracle(q) -> None:
@@ -115,18 +115,23 @@ def _check_kernel_against_oracle(q) -> None:
     assert naive.certificate == optimal[0]
 
 
+def _certificate_cases_to_seven():
+    """(graph, k): every graph of all_graphs(n), n = 2..7, with k = 1..3 up
+    to its minimum degree."""
+    for n in range(2, 8):
+        for g in all_graphs(n):
+            for k in range(1, min(g.min_degree, 3) + 1):
+                yield g, k
+
+
 def test_kernel_certificate_is_first_optimal_set():
     # soundness of every prune: the kernel finds an optimal set of the
     # exhaustive scan, and the oracle the first one
     cases = 0
-    for n in range(2, 8):
-        for g in all_graphs(n):
-            for k in (1, 2, 3):
-                if g.min_degree < k:
-                    continue
-                for variant in (VARIANT_TOTAL, VARIANT_RESTRAINED):
-                    _check_kernel_against_oracle(DominationQuery(g, k, variant))
-                    cases += 1
+    for g, k in _certificate_cases_to_seven():
+        for variant in (VARIANT_TOTAL, VARIANT_RESTRAINED):
+            _check_kernel_against_oracle(DominationQuery(g, k, variant))
+            cases += 1
     assert cases == 3606
 
 
@@ -179,6 +184,50 @@ def test_deep_prism_solves_under_node_ceiling(family, k, variant):
     assert (is_ktrds if variant == VARIANT_RESTRAINED else is_ktds)(
         g, res.certificate, k)
     assert res.nodes_explored <= 10_000
+
+
+def _levels_after(g, k, value):
+    """What _next_level answers after each level s = k..value-1 of g fails
+    (no kTDS has k vertices, so level k always does)."""
+    deg = [m.bit_count() for m in g.masks]
+    ranked = sorted(deg, reverse=True)
+    reach = list(accumulate(ranked))
+    return [solver._next_level(g.masks, deg, ranked, reach, k, s)
+            for s in range(k, value)]
+
+
+def test_demand_start_never_passes_the_value():
+    # the deepening moves on to the demand bound once a level fails; a start
+    # above the value would skip the level that has the answer. Checked
+    # after every level below the value, against the oracle on the cases
+    # of both certificate tests and against the deep prisms' values; the
+    # bound skips at least one level in `skips` of them
+    cases = skips = 0
+    for g, k in (*_certificate_cases_to_seven(),
+                 *_certificate_cases_past_seven()):
+        for variant in (VARIANT_TOTAL, VARIANT_RESTRAINED):
+            value = gamma_naive(DominationQuery(g, k, variant)).value
+            nxt = _levels_after(g, k, value)
+            assert all(s < v <= value for s, v in enumerate(nxt, k)), \
+                (g.edges(), k, variant, value, nxt)
+            skips += any(v > s + 1 for s, v in enumerate(nxt, k))
+            cases += 1
+    for (family, k), (value, _) in DEEP_PRISMS.items():
+        nxt = _levels_after(family_graph(family), k, value)
+        assert all(s < v <= value for s, v in enumerate(nxt, k)), \
+            (family, k, nxt)
+        skips += any(v > s + 1 for s, v in enumerate(nxt, k))
+    assert (cases, skips) == (3606 + 268, 1352)
+
+
+def test_demand_start_closes_the_path_prism():
+    # prism:path:20 at k = 2: the degrees start the deepening at 5, and
+    # the demand of the 20 path vertices, of degree 2 and 3, moves it to
+    # 22, the value; searching every level from 5 takes 346 nodes
+    res = gamma_exact(DominationQuery(family_graph("prism:path:20"), 2,
+                                      VARIANT_TOTAL), Guards(gamma_n=40))
+    assert res.value == 22
+    assert res.nodes_explored <= 26
 
 
 def test_naive_certificate_is_valid_and_minimum_sized():
