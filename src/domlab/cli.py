@@ -141,22 +141,19 @@ def _cmd_domatic(args) -> int:
     return EXIT_OK
 
 
+def _write_out(args, write) -> None:
+    """write(fh) to the file args.out names, or to stdout."""
+    if args.out:
+        with open(args.out, "w") as fh:
+            write(fh)
+    else:
+        write(sys.stdout)
+
+
 def _cmd_construct(args) -> int:
     g = family_graph(args.family)
-    if args.out:
-        with open(args.out, "w") as fh:
-            write_edge_list(g, fh)
-    else:
-        write_edge_list(g, sys.stdout)
+    _write_out(args, lambda fh: write_edge_list(g, fh))
     return EXIT_OK
-
-
-def _write_report(writer, report, args) -> None:
-    if args.out:
-        with open(args.out, "w") as fh:
-            writer(report, fh, timings=args.timings)
-    else:
-        writer(report, sys.stdout, timings=args.timings)
 
 
 def _cmd_verify(args) -> int:
@@ -168,8 +165,8 @@ def _cmd_verify(args) -> int:
              if getattr(args, name) is not None}
     config = SweepConfig(sections=tuple(args.sections or ()), **given)
     report = run_sweep(config)
-    _write_report(write_csv if args.format == "csv" else write_markdown,
-                  report, args)
+    writer = write_csv if args.format == "csv" else write_markdown
+    _write_out(args, lambda fh: writer(report, fh, timings=args.timings))
     disc = report.discrepancies
     allow = report.allowlisted_failures
     print(f"rows={report.total} matched={report.matched} "

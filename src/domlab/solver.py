@@ -361,15 +361,14 @@ def domatic_exact(q: DominationQuery,
     """Maximum kTRDP/kTDP class count via backtracking class assignment.
 
     Both variants run the same search (see _domatic_search). Class counts
-    are tried descending from min(n // (k+1), min_degree // k); vertex 0 is
-    pinned to class 0 and classes appear in first-use order, so the
-    certificate is deterministic. It is re-checked with is_ktrdp or is_ktdp.
+    are tried descending from _class_cap; vertex 0 is pinned to class 0 and
+    classes appear in first-use order, so the certificate is deterministic.
+    It is re-checked with is_ktrdp or is_ktdp.
     """
     g = q.graph
-    _guard(g.n, guards, "domatic_n", "domatic_exact")
+    cap = _class_cap(q, guards, "domatic_exact")
     if g.min_degree < q.k:
         return SolveResult(False, 0, None)
-    cap = min(g.n // (q.k + 1), g.min_degree // q.k)
     nodes = 0
     for d in range(cap, 1, -1):
         found, searched = next(_domatic_search(g.masks, q.k, d))
@@ -385,11 +384,17 @@ def enumerate_domatic_partitions(q: DominationQuery, d: int,
     """All d-class partitions whose classes satisfy the variant predicate
     (classes in first-use order, so label permutations are deduplicated)."""
     g = q.graph
-    _guard(g.n, guards, "domatic_n", "enumerate_domatic_partitions")
-    if not 1 <= d <= g.min_degree // q.k:
+    if not 1 <= d <= _class_cap(q, guards, "enumerate_domatic_partitions"):
         return []
     return [_partition(q, classes)
             for classes, _ in _domatic_search(g.masks, q.k, d) if classes]
+
+
+def _class_cap(q: DominationQuery, guards: Guards, what: str) -> int:
+    """The most classes of a kTDP of q's graph (each has k + 1 vertices or
+    more, and each vertex k neighbours in each), after the domatic_n guard."""
+    _guard(q.graph.n, guards, "domatic_n", what)
+    return min(q.graph.n // (q.k + 1), q.graph.min_degree // q.k)
 
 
 def _partition(q: DominationQuery,
@@ -428,15 +433,15 @@ def _gamma_search(masks: Sequence[int], k: int,
     undecided and ends the branch if excluded; after including u only u's
     neighbours with k neighbours in S and degree below s + k are tested.
 
-    Pruning: s starts at k + 1 and at the smallest s whose s largest degrees
-    sum to k*n. Once that level fails, the next is the demand bound of the
-    low-degree vertices when it is higher (_next_level; computed only then,
-    since it costs about as much as a small search's level). Each level's
-    search depends only on s, S0 and cov0, and nothing but the node count
-    passes from one level to the next, so a start at most the minimum size
-    only skips levels that fail, and the value and certificate are those
-    that level gives from any such start. Restrained, s in (n-k-1, n) is
-    skipped, since a proper kTRDS leaves at least k + 1 vertices outside.
+    Pruning: s starts at the smallest s whose s largest degrees sum to k*n
+    (past k, as no degree exceeds n - 1), or at |S0| when larger. Its last
+    level is n - 1, restrained n - k - 1 (a proper kTRDS leaves at least
+    k + 1 vertices outside); past it the answer is V. Once the first level
+    fails, the next is the demand bound of the low-degree vertices when
+    higher (_next_level, built only then: it costs about a small level).
+    Each level's search depends only on s, S0 and cov0, and nothing but the
+    node count passes between levels, so a start at most the minimum size
+    only skips levels that fail and changes no value or certificate.
     A branch dies when a vertex lacks more than b (plane k-1-b of cov is
     not full) or has fewer than k neighbours outside X. Once X is not empty
     and D > b, it dies when deficient vertices with pairwise disjoint
@@ -449,15 +454,15 @@ def _gamma_search(masks: Sequence[int], k: int,
     deg = list(map(int.bit_count, masks))
     ranked = sorted(deg, reverse=True)
     reach = list(accumulate(ranked))
-    s = max(bisect_left(reach, kn) + 1, k + 1)
+    start = bisect_left(reach, kn) + 1
+    last = n - k - 1 if restrained else n - 1
+    if start > last:
+        # the loop below would answer n too, but after the forced closure
+        return (n, full, 0)
     dmin = ranked[-1]
     forced = 0
-    if restrained:
-        if s > n - k - 1:
-            # the loop below would answer n too, but after the forced closure
-            return (n, full, 0)
-        if dmin < 2 * k:
-            forced = sum(1 << v for v, d in enumerate(deg) if d < 2 * k)
+    if restrained and dmin < 2 * k:
+        forced = sum(1 << v for v, d in enumerate(deg) if d < 2 * k)
     # bit j*n of planes is set for each j < k, so nb * planes copies the
     # mask nb into every plane of cov
     planes = ((1 << kn) - 1) // full
@@ -554,13 +559,8 @@ def _gamma_search(masks: Sequence[int], k: int,
 
     S0, _, cov0 = include(0, 0, n, 0, forced)
     m0 = S0.bit_count()
-    s = max(s, m0)
-    first = True
-    while True:
-        if restrained and s > n - k - 1:
-            s = n
-        if s == n:
-            return (n, full, nodes)
+    s = start = max(start, m0)
+    while s <= last:
         if restrained:
             # every vertex once s + k exceeds the largest degree
             risky = (full if ranked[0] < s + k else
@@ -570,8 +570,9 @@ def _gamma_search(masks: Sequence[int], k: int,
             w = search(S0, 0, b, cov0)
             if w >= 0:
                 return (s, w, nodes)
-        s = _next_level(masks, deg, ranked, reach, k, s) if first else s + 1
-        first = False
+        s = (_next_level(masks, deg, ranked, reach, k, s) if s == start
+             else s + 1)
+    return (n, full, nodes)
 
 
 def _next_level(masks: Sequence[int], deg: Sequence[int],
@@ -612,7 +613,7 @@ def _domatic_search(masks: Sequence[int], k: int, d: int
 
     A branch dies once some vertex's deficit, the sum over classes of
     max(0, k - |N(v) ∩ C|), exceeds its unassigned neighbours. The caller
-    ensures 1 <= d <= min degree // k, so no vertex fails at the root, and
+    ensures 1 <= d <= _class_cap, so no vertex fails at the root, and
     placing vertex i changes only its neighbours' counts, so only they are
     re-tested. At a leaf every deficit is 0, so every class is a kTDS. Every
     class is then a kTRDS as well: a vertex outside one class lies in

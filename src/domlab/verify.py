@@ -102,12 +102,9 @@ def _render(res: SolveResult) -> str:
 def _gamma_row(instance: str, family: str, g: Graph, k: int, variant: str,
                verdict: formulas.FormulaVerdict) -> Row:
     res, ms = _timed(gamma_exact, DominationQuery(g, k, variant))
-    if not res.feasible:
-        match = not verdict.applicable
-        return Row(instance, family, g.n, k, variant, "infeasible",
-                   verdict.render(), verdict.applicable, match, runtime_ms=ms)
-    match = verdict.brackets(res.value)
-    return Row(instance, family, g.n, k, variant, str(res.value),
+    match = (verdict.brackets(res.value) if res.feasible
+             else not verdict.applicable)
+    return Row(instance, family, g.n, k, variant, _render(res),
                verdict.render(), verdict.applicable, match, runtime_ms=ms)
 
 
@@ -170,8 +167,8 @@ def check_multipartite() -> list[Row]:
             n = sum(parts)
             if n > 12:
                 continue
-            g = family_graph("kpartite:" + ",".join(map(str, parts)))
             fam = "kpartite:" + ",".join(map(str, parts))
+            g = family_graph(fam)
             for k in range(1, 4):
                 if g.min_degree < k:
                     continue
@@ -310,10 +307,9 @@ def check_witnesses() -> list[Row]:
         # n = 5: the stated size-4 pair misses vertex 5-bar (no disjoint
         # size-4 pair exists; the claim d >= 2 still holds via larger sets,
         # confirmed below).
-        allow = n == 5
         row = _witness_row(f"witness:prism-cycle-pair:{n}",
                            f"prism:cycle:{n}", g, w, 1, exp,
-                           variant=TOTAL, allowlisted=allow)
+                           variant=TOTAL, allowlisted=n == 5)
         if n == 5:
             row.note = ("stated size-4 pair invalid at n=5; "
                         "solver confirms the claim it supports: " + row.note)
@@ -459,7 +455,7 @@ def check_properties(seed: int, random_count: int) -> list[Row]:
                 prop("equality-classes-optimal", ok, "partitions",
                      "all classes optimal")
             # holds by construction, not evidence: domatic_exact never tries
-            # more than min(n // (k+1), min_degree // k) classes
+            # more than solver._class_cap classes
             cap = formulas.f_domatic_caps(n, k, bipartite=False)
             prop("domatic-cap", dr.value <= cap.upper_int, str(dr.value),
                  cap.render())

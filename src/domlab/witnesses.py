@@ -166,9 +166,14 @@ def validate_witness(g: Graph, w: tuple[frozenset[int], ...],
                      k: int) -> list[str]:
     """Failures of a witness against its predicate; never raises.
 
-    A single set is checked as a kTRDS; a pair as two disjoint kTDS (the
-    domatic-pair shape).
+    A single set is checked as a kTRDS, a pair as two disjoint kTDS (the
+    domatic-pair shape); another shape or a vertex outside g fails alone.
     """
+    if len(w) not in (1, 2):
+        return [f"a witness is one or two sets, got {len(w)}"]
+    outside = sorted(frozenset().union(*w) - frozenset(range(g.n)))
+    if outside:
+        return [f"vertices outside 0..{g.n - 1}: {outside}"]
     if len(w) == 1:
         return ktrds_failures(g, w[0], k)
     a, b = w

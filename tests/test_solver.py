@@ -135,6 +135,33 @@ def test_kernel_certificate_is_first_optimal_set():
     assert cases == 3606
 
 
+# gamma_exact's search nodes summed over _certificate_cases_to_seven for each
+# (n, k, variant), t = total and r = total-restrained; every triple not
+# listed sums to 0. Every level the deepening searches or skips shows here:
+# searching level n of the total variant as well adds 347 nodes.
+GAMMA_NODE_PINS = {
+    (3, 1, "t"): 4, (4, 1, "t"): 12, (4, 1, "r"): 7, (4, 2, "t"): 6,
+    (5, 1, "t"): 55, (5, 1, "r"): 43, (5, 2, "t"): 34, (5, 3, "t"): 8,
+    (6, 1, "t"): 342, (6, 1, "r"): 307, (6, 2, "t"): 259, (6, 2, "r"): 21,
+    (6, 3, "t"): 57, (7, 1, "t"): 2_639, (7, 1, "r"): 2_779,
+    (7, 2, "t"): 2_821, (7, 2, "r"): 433, (7, 3, "t"): 886,
+}
+
+
+def test_gamma_node_pins():
+    got = {}
+    cases = 0
+    for g, k in _certificate_cases_to_seven():
+        for v, variant in (("t", VARIANT_TOTAL), ("r", VARIANT_RESTRAINED)):
+            nodes = gamma_exact(DominationQuery(g, k, variant)).nodes_explored
+            if nodes:
+                got[g.n, k, v] = got.get((g.n, k, v), 0) + nodes
+            cases += 1
+    assert got == GAMMA_NODE_PINS
+    assert sum(got.values()) == 10_713
+    assert cases == 3606
+
+
 def _certificate_cases_past_seven():
     """(graph, k): four seeded G(n, p) for each n = 8..12, p in {0.3, 0.5}
     and k = 1..3, resampled until min degree >= k, and the prisms of C_n and
@@ -472,6 +499,17 @@ def test_enumerate_domatic_partitions_outside_range():
     c5 = DominationQuery(cycle(5), 2)
     assert [len(enumerate_domatic_partitions(c5, d)) for d in range(3)] == \
         [0, 1, 0]
+
+
+def test_enumerate_domatic_partitions_past_the_cap(monkeypatch):
+    # a class of a kTDP has at least k + 1 vertices, so K12 has no 7-class
+    # partition at k = 1, and none is searched for
+    def no_search(*args):
+        raise AssertionError("the domatic search ran")
+
+    monkeypatch.setattr(solver, "_domatic_search", no_search)
+    assert enumerate_domatic_partitions(
+        DominationQuery(complete(12), 1), 7) == []
 
 
 # domatic_exact's search nodes summed over all_graphs(n) for each (n, k)

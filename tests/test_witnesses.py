@@ -66,6 +66,21 @@ def test_validate_reports_failing_vertex():
     assert failures and "outside" in failures[0]
 
 
+def test_validate_reports_vertex_outside_the_graph():
+    assert validate_witness(cycle(5), (frozenset({0, 5, 7}),), 1) == \
+        ["vertices outside 0..4: [5, 7]"]
+    pair = (frozenset({0, 1}), frozenset({2, -1}))
+    assert validate_witness(cycle(5), pair, 1) == \
+        ["vertices outside 0..4: [-1]"]
+
+
+@pytest.mark.parametrize("count", [0, 3])
+def test_validate_reports_a_witness_of_other_than_one_or_two_sets(count):
+    w = tuple(frozenset({v}) for v in range(count))
+    assert validate_witness(cycle(5), w, 1) == \
+        [f"a witness is one or two sets, got {count}"]
+
+
 def test_preconditions():
     with pytest.raises(ValueError):
         witness_cycle_trds(3)
