@@ -1,8 +1,11 @@
 """Full verification sweep: families, bounds, witnesses, theorem suites.
 
-Each check_* function returns Report rows; run_sweep assembles the report the
-CLI writes. Discrepancies are recorded, never silently corrected. One known
-erratum is allowlisted (reported but non-fatal): the n = 5 case of the
+Each entry of SECTIONS returns Report rows: the rows of the families in the
+FAMILIES table come from one loop, those of every other section from its
+check_* function. Every fixed-family graph is built by family_graph from the
+spec its rows print. run_sweep assembles the report the CLI writes.
+Discrepancies are recorded, never silently corrected. One known erratum is
+allowlisted (reported but non-fatal): the n = 5 case of the
 prism-cycle domatic-pair construction.
 """
 
@@ -11,15 +14,16 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from itertools import combinations_with_replacement
 from operator import and_
 
 from . import formulas
 from .family_spec import family_graph
-# build_graph is not called here; perfbench/run.py times graph building
-# through this module's names, build_graph among them
-from .graphs import Graph, bit_indices, build_graph, complement, complementary_prism, complete, cycle  # noqa: F401
+from .graphs import Graph, bit_indices, complement, complementary_prism
+# not called here: perfbench/run.py times graph building by patching these
+# names on this module (ROADMAP item 17 removes the patching and them)
+from .graphs import build_graph, complete, cycle  # noqa: F401
 from .predicates import is_ktdp, ktds_batch
 from .smallgraphs import all_graphs
 from .solver import (VARIANT_RESTRAINED as RESTRAINED,
@@ -110,53 +114,31 @@ def _gamma_row(instance: str, family: str, g: Graph, k: int, variant: str,
 
 # ---------------------------------------------------------------- families
 
-def check_complete() -> list[Row]:
+# section -> one (family spec, k values, stated value as a function of k)
+# entry per graph; every row solves the total-restrained variant
+FAMILIES = {
+    "complete": [(f"complete:{n}", range(1, n),
+                  partial(formulas.f_complete, n)) for n in range(2, 13)],
+    "cycles": [(f"cycle:{n}", (1, 2), partial(formulas.f_cycle, n))
+               for n in range(4, 13)],
+    "complements": [(f"complement:{base}:{n}", range(1, min(n - 3, 3) + 1),
+                     partial(formula, n))
+                    for n in range(4, 15)
+                    for base, formula in (
+                        ("cycle", formulas.f_complement_cycle),
+                        ("path", formulas.f_complement_path))],
+    "bipartite": [(f"bipartite:{n},{m}", range(1, min(m, 3) + 1),
+                   partial(formulas.f_complete_bipartite, n, m))
+                  for n in range(1, 8) for m in range(1, n + 1)],
+}
+
+
+def _family_rows(section: str) -> list[Row]:
     rows = []
-    for n in range(2, 13):
-        g = complete(n)
-        for k in range(1, n):
-            rows.append(_gamma_row(f"complete:{n}|k={k}|gamma-r",
-                                   f"complete:{n}", g, k,
-                                   RESTRAINED, formulas.f_complete(n, k)))
-    return rows
-
-
-def check_cycles() -> list[Row]:
-    rows = []
-    for n in range(4, 13):
-        g = cycle(n)
-        for k in (1, 2):
-            rows.append(_gamma_row(f"cycle:{n}|k={k}|gamma-r", f"cycle:{n}",
-                                   g, k, RESTRAINED, formulas.f_cycle(n, k)))
-    return rows
-
-
-def check_complements() -> list[Row]:
-    rows = []
-    for n in range(4, 15):
-        g = family_graph(f"complement:cycle:{n}")
-        gp = family_graph(f"complement:path:{n}")
-        for k in range(1, 4):
-            if n < k + 3:
-                continue
-            rows.append(_gamma_row(
-                f"complement:cycle:{n}|k={k}|gamma-r", f"complement:cycle:{n}",
-                g, k, RESTRAINED, formulas.f_complement_cycle(n, k)))
-            rows.append(_gamma_row(
-                f"complement:path:{n}|k={k}|gamma-r", f"complement:path:{n}",
-                gp, k, RESTRAINED, formulas.f_complement_path(n, k)))
-    return rows
-
-
-def check_bipartite() -> list[Row]:
-    rows = []
-    for n in range(1, 8):
-        for m in range(1, n + 1):
-            g = family_graph(f"bipartite:{n},{m}")
-            for k in range(1, min(m, 3) + 1):
-                rows.append(_gamma_row(
-                    f"bipartite:{n},{m}|k={k}|gamma-r", f"bipartite:{n},{m}",
-                    g, k, RESTRAINED, formulas.f_complete_bipartite(n, m, k)))
+    for spec, ks, formula in FAMILIES[section]:
+        g = family_graph(spec)
+        rows += [_gamma_row(f"{spec}|k={k}|gamma-r", spec, g, k, RESTRAINED,
+                            formula(k)) for k in ks]
     return rows
 
 
@@ -194,40 +176,36 @@ def check_multipartite() -> list[Row]:
 
 def check_prisms() -> list[Row]:
     rows = []
-    graphs = {}
     for n in range(4, 9):
-        cg = complementary_prism(cycle(n))
-        pg = complementary_prism(family_graph(f"path:{n}"))
-        graphs[f"prism:cycle:{n}"] = cg
-        graphs[f"prism:path:{n}"] = pg
         k1 = formulas.f_prism_k1(n)
-        rows.append(_gamma_row(f"prism:cycle:{n}|k=1|gamma-r",
-                               f"prism:cycle:{n}", cg, 1, RESTRAINED, k1))
-        rows.append(_gamma_row(f"prism:cycle:{n}|k=2|gamma-r",
-                               f"prism:cycle:{n}", cg, 2, RESTRAINED,
-                               formulas.f_prism_cycle_k2(n)))
-        rows.append(_gamma_row(f"prism:path:{n}|k=1|gamma-r",
-                               f"prism:path:{n}", pg, 1, RESTRAINED, k1))
-        # non-restrained oracles from the cited prelemmas
-        rows.append(_gamma_row(f"prism:cycle:{n}|k=1|gamma-t",
-                               f"prism:cycle:{n}", cg, 1, TOTAL, k1))
-        rows.append(_gamma_row(f"prism:cycle:{n}|k=2|gamma-t",
-                               f"prism:cycle:{n}", cg, 2, TOTAL,
-                               formulas.f_prism_cycle_k2_total(n)))
-        rows.append(_gamma_row(f"prism:path:{n}|k=1|gamma-t",
-                               f"prism:path:{n}", pg, 1, TOTAL, k1))
+        # the gamma-t rows are non-restrained oracles from the cited prelemmas
+        cases = (("cycle", 1, RESTRAINED, k1),
+                 ("cycle", 2, RESTRAINED, formulas.f_prism_cycle_k2(n)),
+                 ("path", 1, RESTRAINED, k1),
+                 ("cycle", 1, TOTAL, k1),
+                 ("cycle", 2, TOTAL, formulas.f_prism_cycle_k2_total(n)),
+                 ("path", 1, TOTAL, k1))
+        graphs = {base: family_graph(f"prism:{base}:{n}")
+                  for base in ("cycle", "path")}
+        for base, k, variant, verdict in cases:
+            fam = f"prism:{base}:{n}"
+            tag = "gamma-r" if variant == RESTRAINED else "gamma-t"
+            rows.append(_gamma_row(f"{fam}|k={k}|{tag}", fam, graphs[base], k,
+                                   variant, verdict))
         # regular-prism window results (the 2n corollary is an open question:
         # its statement omits ",t"; we read it as total-restrained)
         verdict = formulas.f_prism_regular_lb(n, 2, 2)
         row = _gamma_row(f"prism:cycle:{n}|k=2|regular-window",
-                         f"prism:cycle:{n}", cg, 2, RESTRAINED, verdict)
+                         f"prism:cycle:{n}", graphs["cycle"], 2, RESTRAINED,
+                         verdict)
         row.note = "2n corollary read as total-restrained"
         rows.append(row)
     # any stated value the kernel contradicts gets an independent
     # confirmation pass through the naive oracle (the kernel rows only, not
     # the confirm rows this loop adds)
     for r in [row for row in rows if row.discrepancy]:
-        naive = gamma_naive(DominationQuery(graphs[r.family], r.k, r.variant))
+        naive = gamma_naive(DominationQuery(family_graph(r.family), r.k,
+                                           r.variant))
         agree = _render(naive) == r.solver
         r.note = (r.note + "; " if r.note else "") + (
             "solver value confirmed by independent oracle" if agree else
@@ -279,29 +257,27 @@ def check_witnesses() -> list[Row]:
         w = witness_cycle_trds(n)
         exp = formulas.f_cycle(n, 1).value
         rows.append(_witness_row(f"witness:cycle-trds:{n}", f"cycle:{n}",
-                                 cycle(n), w, 1, exp))
+                                 family_graph(f"cycle:{n}"), w, 1, exp))
     for n in range(4, 17):
-        g = complement(cycle(n))
-        gp = complement(family_graph(f"path:{n}"))
-        for k in range(1, 4):
-            if n < k + 3:
-                continue
-            w = witness_complement_cycle(n, k)
-            exp = formulas.f_complement_cycle(n, k).value
-            rows.append(_witness_row(f"witness:complement-cycle:{n}|k={k}",
-                                     f"complement:cycle:{n}", g, w, k, exp))
-            wp = witness_complement_path(n, k)
-            expp = formulas.f_complement_path(n, k).value
-            rows.append(_witness_row(f"witness:complement-path:{n}|k={k}",
-                                     f"complement:path:{n}", gp, wp, k, expp))
+        for base, witness, formula in (
+                ("cycle", witness_complement_cycle,
+                 formulas.f_complement_cycle),
+                ("path", witness_complement_path,
+                 formulas.f_complement_path)):
+            fam = f"complement:{base}:{n}"
+            g = family_graph(fam)
+            for k in range(1, min(n - 3, 3) + 1):
+                rows.append(_witness_row(
+                    f"witness:complement-{base}:{n}|k={k}", fam, g,
+                    witness(n, k), k, formula(n, k).value))
     for n in range(5, 13):
-        g = complementary_prism(family_graph(f"path:{n}"))
         w = witness_prism_path_trds(n)
         exp = formulas.f_prism_k1(n).value
         rows.append(_witness_row(f"witness:prism-path-trds:{n}",
-                                 f"prism:path:{n}", g, w, 1, exp))
+                                 f"prism:path:{n}",
+                                 family_graph(f"prism:path:{n}"), w, 1, exp))
     for n in range(4, 13):
-        g = complementary_prism(cycle(n))
+        g = family_graph(f"prism:cycle:{n}")
         w = witness_prism_cycle_domatic_pair(n)
         exp = formulas.f_prism_k1(n).value
         # n = 5: the stated size-4 pair misses vertex 5-bar (no disjoint
@@ -316,7 +292,7 @@ def check_witnesses() -> list[Row]:
         rows.append(row)
     # the n = 5 erratum does not sink the claim: two disjoint total
     # dominating sets exist (classes need not be minimum)
-    p5 = complementary_prism(cycle(5))
+    p5 = family_graph("prism:cycle:5")
     dres = domatic_exact(DominationQuery(p5, 1, TOTAL))
     rows.append(Row("witness:prism-cycle-pair:5|claim-check", "prism:cycle:5",
                     10, 1, TOTAL, str(dres.value), ">=2", True,
@@ -513,10 +489,7 @@ def check_sandwich() -> list[Row]:
 
 
 SECTIONS = {
-    "complete": check_complete,
-    "cycles": check_cycles,
-    "complements": check_complements,
-    "bipartite": check_bipartite,
+    **{section: partial(_family_rows, section) for section in FAMILIES},
     "multipartite": check_multipartite,
     "prisms": check_prisms,
     "kjoin": check_kjoin,

@@ -11,11 +11,10 @@ import time
 
 import pytest
 
-from domlab.verify import (Report, SweepConfig, check_bipartite,
-                           check_complements, check_complete, check_cycles,
-                           check_multipartite, check_oracle, check_prisms,
-                           check_properties, check_sandwich, check_witnesses,
-                           run_sweep, write_csv)
+from domlab.verify import (SECTIONS, Report, SweepConfig, check_multipartite,
+                           check_oracle, check_prisms, check_properties,
+                           check_sandwich, check_witnesses, run_sweep,
+                           write_csv)
 
 
 def _summarize(rows):
@@ -30,7 +29,7 @@ def _line(num, ok, detail=""):
 
 def test_criterion_1_complete_graphs():
     t0 = time.time()
-    rows = check_complete()
+    rows = SECTIONS["complete"]()
     elapsed = time.time() - t0
     disc = _summarize(rows)
     ok = not disc and elapsed < 10
@@ -40,21 +39,21 @@ def test_criterion_1_complete_graphs():
 
 
 def test_criterion_2_cycles():
-    rows = check_cycles()
+    rows = SECTIONS["cycles"]()
     disc = _summarize(rows)
     _line(2, not disc, f"{len(rows)} instances")
     assert not disc, disc
 
 
 def test_criterion_3_complements():
-    rows = check_complements()
+    rows = SECTIONS["complements"]()
     disc = _summarize(rows)
     _line(3, not disc, f"{len(rows)} instances")
     assert not disc, disc
 
 
 def test_criterion_4_bipartite_multipartite():
-    rows = check_bipartite() + check_multipartite()
+    rows = SECTIONS["bipartite"]() + check_multipartite()
     disc = _summarize(rows)
     _line(4, not disc, f"{len(rows)} instances")
     assert not disc, disc

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import domlab
 from domlab import verify
+from domlab.family_spec import family_graph
 from domlab.formulas import FormulaVerdict
 from domlab.solver import SolveResult
 
@@ -57,6 +58,15 @@ def test_regular_window_rows_are_not_allowlisted():
             if r.instance.endswith("|regular-window")]
     assert len(rows) == 5
     assert all(r.match and not r.allowlisted for r in rows)
+
+
+def test_fixed_family_labels_build_a_graph_of_the_row_size():
+    sections = ("complete", "cycles", "complements", "bipartite",
+                "multipartite", "prisms", "kjoin", "witnesses")
+    rows = [r for name in sections for r in verify.SECTIONS[name]()]
+    assert len(rows) == 675
+    assert [r.instance for r in rows
+            if family_graph(r.family).n != r.n] == []
 
 
 def _module_constant(path: Path, name: str):
