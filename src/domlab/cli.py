@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify-paper",
                            help="run the verification sweep and write a report")
-    p_ver.add_argument("--sections", nargs="*", default=None,
+    p_ver.add_argument("--sections", nargs="+",
                        help="subset of sweep sections (default: all)")
     p_ver.add_argument("--format", default="csv", choices=["csv", "markdown"])
     p_ver.add_argument("--out", help="report file (default stdout)")

@@ -21,20 +21,21 @@ from operator import and_
 from . import formulas
 from .family_spec import family_graph
 from .graphs import Graph, bit_indices, complement, complementary_prism
-# not called here: perfbench/run.py times graph building by patching these
-# names on this module (ROADMAP item 17 removes the patching and them)
-from .graphs import build_graph, complete, cycle  # noqa: F401
 from .predicates import is_ktdp, ktds_batch
 from .smallgraphs import all_graphs
 from .solver import (VARIANT_RESTRAINED as RESTRAINED,
                      VARIANT_TOTAL as TOTAL, DominationQuery, SolveResult,
-                     _timed, domatic_exact, enumerate_domatic_partitions,
-                     enumerate_optimal_sets, gamma_exact, gamma_naive,
+                     _timed, domatic_exact, gamma_exact, gamma_naive,
                      gamma_naive_all, subset_levels, t0_exact)
 from .witnesses import (validate_witness, witness_complement_cycle,
                         witness_complement_path, witness_cycle_trds,
                         witness_prism_cycle_domatic_pair,
                         witness_prism_path_trds)
+# not called here: perfbench/run.py patches these names on this module to time
+# graph building and enumeration (ROADMAP item 17 removes patching and names)
+from .graphs import build_graph, complete, cycle  # noqa: F401
+from .solver import (enumerate_domatic_partitions,  # noqa: F401
+                     enumerate_optimal_sets)
 
 CSV_COLUMNS = ("instance", "family", "n", "k", "variant", "solver", "formula",
                "applicable", "match", "witness", "runtime_ms")
@@ -154,23 +155,19 @@ def check_multipartite() -> list[Row]:
             for k in range(1, 4):
                 if g.min_degree < k:
                     continue
-                q = DominationQuery(g, k, RESTRAINED)
-                res, ms = _timed(gamma_exact, q)
                 analysis = t0_exact(parts, k)
-                if res.value != analysis.gamma_value:
-                    rows.append(Row(f"{fam}|k={k}|t0-gamma-agree", fam, n, k,
-                                    RESTRAINED, str(res.value),
-                                    str(analysis.gamma_value), True, False,
-                                    note="t0 enumeration disagrees with solver"))
-                    continue
                 verdict = formulas.f_multipartite_bounds(
                     parts, k, t0=analysis.t0 if analysis.t0 >= 2 else None,
-                    gamma_value=res.value)
-                match = verdict.brackets(res.value)
-                rows.append(Row(f"{fam}|k={k}|bounds", fam, n, k, RESTRAINED,
-                                str(res.value), verdict.render(),
-                                verdict.applicable, match, runtime_ms=ms,
-                                note=f"t0={analysis.t0}"))
+                    gamma_value=analysis.gamma_value)
+                row = _gamma_row(f"{fam}|k={k}|bounds", fam, g, k, RESTRAINED,
+                                 verdict)
+                row.note = f"t0={analysis.t0}"
+                if row.solver != str(analysis.gamma_value):
+                    row = Row(f"{fam}|k={k}|t0-gamma-agree", fam, n, k,
+                              RESTRAINED, row.solver,
+                              str(analysis.gamma_value), True, False,
+                              note="t0 enumeration disagrees with solver")
+                rows.append(row)
     return rows
 
 
@@ -425,11 +422,12 @@ def check_properties(seed: int, random_count: int) -> list[Row]:
             prop("gamma-times-domatic", gr.value * dr.value <= n,
                  f"{gr.value}*{dr.value}", f"<={n}")
             if gr.value * dr.value == n:
-                optimal = set(enumerate_optimal_sets(qr))
-                ok = all(all(cls in optimal for cls in part)
-                         for part in enumerate_domatic_partitions(qr, dr.value))
-                prop("equality-classes-optimal", ok, "partitions",
-                     "all classes optimal")
+                # d disjoint kTRDSs of >= gamma vertices each hold n = gamma*d
+                # vertices, so each class has exactly the naive scan's gamma
+                gamma = gamma_naive(qr).value
+                prop("equality-classes-optimal",
+                     all(len(cls) == gamma for cls in dr.certificate),
+                     "partitions", "all classes optimal")
             # holds by construction, not evidence: domatic_exact never tries
             # more than solver._class_cap classes
             cap = formulas.f_domatic_caps(n, k, bipartite=False)

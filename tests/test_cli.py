@@ -151,6 +151,14 @@ def test_verify_unknown_section(capsys):
     assert code == 1
 
 
+def test_verify_bare_sections_flag_exit_1(capsys):
+    # a bare --sections names no section; it does not mean "all"
+    code, out, err = run(["verify-paper", "--sections"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "argument --sections: expected at least one argument" in err
+
+
 def test_verify_repeated_section(capsys, tmp_path):
     out_file = tmp_path / "report.csv"
     code, _, err = run(["verify-paper", "--sections", "complete", "cycles",

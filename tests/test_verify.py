@@ -30,6 +30,31 @@ def test_properties_run_one_domatic_search_per_graph_and_k(monkeypatch):
     assert calls == expected
 
 
+def test_properties_call_no_enumerator(monkeypatch):
+    def refuse(*args, **kw):
+        raise AssertionError("check_properties enumerated")
+
+    for name in ("enumerate_domatic_partitions", "enumerate_optimal_sets"):
+        monkeypatch.setattr(verify, name, refuse)
+    assert verify.check_properties(7, 20)
+
+
+def _equality_rows(seed, count):
+    return [r for r in verify.check_properties(seed, count)
+            if r.instance.startswith("prop:equality-classes-optimal:")]
+
+
+def test_equality_rows_read_the_naive_gamma(monkeypatch):
+    # seed 7 with 20 graphs has six graph-k pairs where gamma * d = n
+    rows = _equality_rows(7, 20)
+    assert len(rows) == 6 and all(r.match for r in rows)
+    real = verify.gamma_naive
+    monkeypatch.setattr(verify, "gamma_naive", lambda q: SolveResult(
+        True, real(q).value + 1, frozenset()))
+    rows = _equality_rows(7, 20)
+    assert len(rows) == 6 and not any(r.match for r in rows)
+
+
 def test_prism_oracle_disagreement_keeps_the_row_note(monkeypatch):
     # an oracle that never agrees, and a regular-window bound no value meets,
     # so that row is a discrepancy that already carries a note
