@@ -192,18 +192,41 @@ def _column_set(cols: Sequence[int], i: int) -> frozenset[int]:
     return frozenset(u for u, c in enumerate(cols) if c >> i & 1)
 
 
+# (masks, k, value) of gamma_exact's last total solve
+_last_total: tuple = (None, 0, 0)
+
+
 def gamma_exact(q: DominationQuery,
                 guards: Guards = DEFAULT_GUARDS) -> SolveResult:
     """Minimum kTDS/kTRDS size via the pruned search (_gamma_search).
 
     The certificate is the minimum set the search finds. gamma_naive gives
     the first one in subset order, which enumerate_optimal_sets lists first.
+
+    Every kTRDS is a kTDS, so γ_t <= γ^r. A total solve keeps (masks, k,
+    γ_t) in _last_total, and a restrained solve whose graph has the same
+    masks tuple (by identity: the slot holds it, so its id is not reused)
+    and the same k starts its search at γ_t. So a restrained solve's node
+    count depends on the call before it: prism:cycle:16 at k = 1 takes 211
+    nodes alone and 128 right after its total. Its value and certificate do
+    not. The slot is one tuple, read once and replaced whole, so a thread
+    sees either its own total or another (masks, k, γ_t), which is only
+    used when it is the same graph and k and so holds the same γ_t.
     """
+    global _last_total
     g = q.graph
     _guard(g.n, guards, "gamma_n", "gamma_exact")
     if g.min_degree < q.k:
         return SolveResult(False, None, None)
-    value, cert_mask, nodes = _gamma_search(g.masks, q.k, q.restrained)
+    masks = g.masks
+    if q.restrained:
+        seen, k, floor = _last_total
+        if seen is not masks or k != q.k:
+            floor = 0
+        value, cert_mask, nodes = _gamma_search(masks, q.k, True, floor)
+    else:
+        value, cert_mask, nodes = _gamma_search(masks, q.k, False)
+        _last_total = (masks, q.k, value)
     return SolveResult(True, value, mask_vertices(cert_mask), nodes)
 
 
@@ -408,8 +431,8 @@ def _partition(q: DominationQuery,
     return part
 
 
-def _gamma_search(masks: Sequence[int], k: int,
-                  restrained: bool) -> tuple[int, int, int]:
+def _gamma_search(masks: Sequence[int], k: int, restrained: bool,
+                  floor: int = 0) -> tuple[int, int, int]:
     """Minimum size of a kTDS (kTRDS when restrained) over the adjacency
     bitmasks; returns (value, certificate mask, nodes), the certificate being
     the minimum set the search finds at s = value (gamma_naive gives the
@@ -434,14 +457,18 @@ def _gamma_search(masks: Sequence[int], k: int,
     neighbours with k neighbours in S and degree below s + k are tested.
 
     Pruning: s starts at the smallest s whose s largest degrees sum to k*n
-    (past k, as no degree exceeds n - 1), or at |S0| when larger. Its last
-    level is n - 1, restrained n - k - 1 (a proper kTRDS leaves at least
-    k + 1 vertices outside); past it the answer is V. Once the first level
-    fails, the next is the demand bound of the low-degree vertices when
-    higher (_next_level, built only then: it costs about a small level).
-    Each level's search depends only on s, S0 and cov0, and nothing but the
-    node count passes between levels, so a start at most the minimum size
-    only skips levels that fail and changes no value or certificate.
+    (past k, as no degree exceeds n - 1), or at floor or |S0| when larger.
+    gamma_exact passes a restrained solve the γ_t of the same masks and k
+    as floor when its last total solve was of them (γ_t <= γ^r, as every
+    kTRDS is a kTDS), and 0 otherwise. Its last level is n - 1, restrained
+    n - k - 1 (a proper kTRDS leaves at least k + 1 vertices outside); past
+    it the answer is V, so a floor past it gives V at once. Once the first
+    level fails, the next is the demand bound of the low-degree vertices
+    when higher (_next_level, built only then: it costs about a small
+    level). Each level's search depends only on s, S0 and cov0, and nothing
+    but the node count passes between levels, so a start at most the
+    minimum size only skips levels that fail and changes no value or
+    certificate.
     A branch dies when a vertex lacks more than b (plane k-1-b of cov is
     not full) or has fewer than k neighbours outside X. Once X is not empty
     and D > b, it dies when deficient vertices with pairwise disjoint
@@ -455,6 +482,8 @@ def _gamma_search(masks: Sequence[int], k: int,
     ranked = sorted(deg, reverse=True)
     reach = list(accumulate(ranked))
     start = bisect_left(reach, kn) + 1
+    if start < floor:
+        start = floor
     last = n - k - 1 if restrained else n - 1
     if start > last:
         # the loop below would answer n too, but after the forced closure

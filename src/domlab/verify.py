@@ -175,28 +175,29 @@ def check_prisms() -> list[Row]:
     rows = []
     for n in range(4, 9):
         k1 = formulas.f_prism_k1(n)
-        # the gamma-t rows are non-restrained oracles from the cited prelemmas
-        cases = (("cycle", 1, RESTRAINED, k1),
-                 ("cycle", 2, RESTRAINED, formulas.f_prism_cycle_k2(n)),
-                 ("path", 1, RESTRAINED, k1),
-                 ("cycle", 1, TOTAL, k1),
-                 ("cycle", 2, TOTAL, formulas.f_prism_cycle_k2_total(n)),
-                 ("path", 1, TOTAL, k1))
+        # the gamma-t rows are non-restrained oracles from the cited
+        # prelemmas. Each restrained row follows the total row of its graph
+        # and k, whose value gamma_exact starts it at. The regular-prism
+        # window (the 2n corollary is an open question: its statement omits
+        # ",t"; we read it as total-restrained) follows the k = 2 pair
+        cases = (("cycle", 1, "gamma-t", k1),
+                 ("cycle", 1, "gamma-r", k1),
+                 ("cycle", 2, "gamma-t", formulas.f_prism_cycle_k2_total(n)),
+                 ("cycle", 2, "gamma-r", formulas.f_prism_cycle_k2(n)),
+                 ("cycle", 2, "regular-window",
+                  formulas.f_prism_regular_lb(n, 2, 2)),
+                 ("path", 1, "gamma-t", k1),
+                 ("path", 1, "gamma-r", k1))
         graphs = {base: family_graph(f"prism:{base}:{n}")
                   for base in ("cycle", "path")}
-        for base, k, variant, verdict in cases:
+        for base, k, tag, verdict in cases:
             fam = f"prism:{base}:{n}"
-            tag = "gamma-r" if variant == RESTRAINED else "gamma-t"
-            rows.append(_gamma_row(f"{fam}|k={k}|{tag}", fam, graphs[base], k,
-                                   variant, verdict))
-        # regular-prism window results (the 2n corollary is an open question:
-        # its statement omits ",t"; we read it as total-restrained)
-        verdict = formulas.f_prism_regular_lb(n, 2, 2)
-        row = _gamma_row(f"prism:cycle:{n}|k=2|regular-window",
-                         f"prism:cycle:{n}", graphs["cycle"], 2, RESTRAINED,
-                         verdict)
-        row.note = "2n corollary read as total-restrained"
-        rows.append(row)
+            row = _gamma_row(f"{fam}|k={k}|{tag}", fam, graphs[base], k,
+                             TOTAL if tag == "gamma-t" else RESTRAINED,
+                             verdict)
+            if tag == "regular-window":
+                row.note = "2n corollary read as total-restrained"
+            rows.append(row)
     # any stated value the kernel contradicts gets an independent
     # confirmation pass through the naive oracle (the kernel rows only, not
     # the confirm rows this loop adds)

@@ -57,7 +57,9 @@ def test_certificate_is_lex_smallest():
 
 # gamma_exact's node count and certificate on the prisms of C_n and P_n,
 # n = 6..9 (variant t = total, r = total-restrained); 1,040 nodes in all.
-# A kernel change that moves these updates the table and says so.
+# Each entry builds its own graph, so no restrained solve starts at the
+# value of the total before it. A kernel change that moves these updates
+# the table and says so.
 PRISM_SEARCH_PINS = {
     ("cycle", 6, 1, "t"): (18, (1, 4, 7, 10)),
     ("cycle", 6, 1, "r"): (18, (1, 4, 7, 10)),
@@ -138,7 +140,9 @@ def test_kernel_certificate_is_first_optimal_set():
 # gamma_exact's search nodes summed over _certificate_cases_to_seven for each
 # (n, k, variant), t = total and r = total-restrained; every triple not
 # listed sums to 0. Every level the deepening searches or skips shows here:
-# searching level n of the total variant as well adds 347 nodes.
+# searching level n of the total variant as well adds 347 nodes. Each
+# restrained solve runs before its total, so none starts at the total's
+# value (GAMMA_FLOORED_NODE_PINS has those).
 GAMMA_NODE_PINS = {
     (3, 1, "t"): 4, (4, 1, "t"): 12, (4, 1, "r"): 7, (4, 2, "t"): 6,
     (5, 1, "t"): 55, (5, 1, "r"): 43, (5, 2, "t"): 34, (5, 3, "t"): 8,
@@ -148,11 +152,13 @@ GAMMA_NODE_PINS = {
 }
 
 
-def test_gamma_node_pins():
+def test_gamma_node_pins(monkeypatch):
+    # forget the last total solve, which another test may have left
+    monkeypatch.setattr(solver, "_last_total", (None, 0, 0))
     got = {}
     cases = 0
     for g, k in _certificate_cases_to_seven():
-        for v, variant in (("t", VARIANT_TOTAL), ("r", VARIANT_RESTRAINED)):
+        for v, variant in (("r", VARIANT_RESTRAINED), ("t", VARIANT_TOTAL)):
             nodes = gamma_exact(DominationQuery(g, k, variant)).nodes_explored
             if nodes:
                 got[g.n, k, v] = got.get((g.n, k, v), 0) + nodes
@@ -160,6 +166,32 @@ def test_gamma_node_pins():
     assert got == GAMMA_NODE_PINS
     assert sum(got.values()) == 10_713
     assert cases == 3606
+
+
+# the restrained nodes of GAMMA_NODE_PINS, 3,590 in all, when each
+# restrained solve runs right after the total of its graph and k and so
+# starts at that value; the README's prism:cycle:16 at k = 1 takes 128
+# nodes so (211 alone, see ALONE)
+GAMMA_FLOORED_NODE_PINS = {
+    (4, 1): 7, (5, 1): 42, (6, 1): 284, (6, 2): 18, (7, 1): 2_563,
+    (7, 2): 389,
+}
+
+
+def test_gamma_floored_node_pins():
+    got = {}
+    for g, k in _certificate_cases_to_seven():
+        gamma_exact(DominationQuery(g, k, VARIANT_TOTAL))
+        nodes = gamma_exact(DominationQuery(g, k, VARIANT_RESTRAINED)
+                            ).nodes_explored
+        if nodes:
+            got[g.n, k] = got.get((g.n, k), 0) + nodes
+    assert got == GAMMA_FLOORED_NODE_PINS
+    assert sum(got.values()) == 3_303
+    g, guards = family_graph("prism:cycle:16"), Guards(gamma_n=40)
+    gamma_exact(DominationQuery(g, 1, VARIANT_TOTAL), guards)
+    assert gamma_exact(DominationQuery(g, 1, VARIANT_RESTRAINED),
+                       guards).nodes_explored == 128
 
 
 def _certificate_cases_past_seven():
@@ -211,6 +243,83 @@ def test_deep_prism_solves_under_node_ceiling(family, k, variant):
     assert (is_ktrds if variant == VARIANT_RESTRAINED else is_ktds)(
         g, res.certificate, k)
     assert res.nodes_explored <= 10_000
+
+
+def test_restrained_after_total_is_the_standalone_solve(monkeypatch):
+    # a restrained solve right after the total of its graph and k starts at
+    # γ_t <= γ^r: the same value and certificate as alone, in no more nodes.
+    # Each case's first restrained solve follows the total of the case
+    # before, another graph or another k, so it runs alone
+    monkeypatch.setattr(solver, "_last_total", (None, 0, 0))
+    guards = Guards(gamma_n=40)
+    cases = fewer = 0
+    for g, k in (*_certificate_cases_to_seven(),
+                 *_certificate_cases_past_seven(),
+                 *((family_graph(family), k)
+                   for family, k in sorted(DEEP_PRISMS))):
+        restrained = DominationQuery(g, k, VARIANT_RESTRAINED)
+        alone = gamma_exact(restrained, guards)
+        gamma_exact(DominationQuery(g, k, VARIANT_TOTAL), guards)
+        after = gamma_exact(restrained, guards)
+        assert (after.value, after.certificate) == \
+            (alone.value, alone.certificate), (g.edges(), k)
+        assert after.nodes_explored <= alone.nodes_explored, (g.edges(), k)
+        fewer += after.nodes_explored < alone.nodes_explored
+        cases += 1
+    assert (cases, fewer) == (1803 + 134 + 4, 180)
+
+
+# what a restrained solve at k = 1 gives alone: value, certificate, nodes
+ALONE = {"complete:7": (2, (0, 1), 2),
+         "prism:cycle:16": (*DEEP_PRISMS["prism:cycle:16", 1], 211)}
+
+
+def _restrained_after_total(total_graph, total_k, g):
+    """The total value of total_graph at total_k, and the restrained result
+    at k = 1 of g solved right after it."""
+    guards = Guards(gamma_n=40)
+    t = gamma_exact(DominationQuery(total_graph, total_k, VARIANT_TOTAL),
+                    guards)
+    res = gamma_exact(DominationQuery(g, 1, VARIANT_RESTRAINED), guards)
+    return t.value, (res.value, tuple(sorted(res.certificate)),
+                     res.nodes_explored)
+
+
+@pytest.mark.parametrize("family,other", [("complete:7", "cycle:7"),
+                                          ("prism:cycle:16", "cycle:32")])
+def test_restrained_after_another_graphs_total_runs_alone(family, other):
+    # the same n and k: a start at the other graph's value, above this
+    # one's, would change the value
+    g, h = family_graph(family), family_graph(other)
+    assert g.n == h.n
+    total, got = _restrained_after_total(h, 1, g)
+    assert total > ALONE[family][0]
+    assert got == ALONE[family]
+
+
+@pytest.mark.parametrize("family,total_k", [("complete:7", 3),
+                                            ("prism:cycle:16", 2)])
+def test_restrained_after_a_total_at_another_k_runs_alone(family, total_k):
+    # the same graph: a start at its value for the larger k would change
+    # the value
+    g = family_graph(family)
+    total, got = _restrained_after_total(g, total_k, g)
+    assert total > ALONE[family][0]
+    assert got == ALONE[family]
+
+
+def test_restrained_value_never_starts_a_total_solve():
+    # γ_t = 2 < γ^r = 3 here: a total solve after the restrained one must
+    # not start at 3. Solved alternately, each gives its own value and set
+    g = all_graphs(7)[401]
+    assert g.edges() == [(0, 3), (0, 5), (1, 4), (1, 5), (2, 5), (2, 6),
+                         (3, 6), (4, 6), (5, 6)]
+    got = [gamma_exact(DominationQuery(g, 1, variant))
+           for variant in (VARIANT_TOTAL, VARIANT_RESTRAINED) * 2]
+    assert [r.value for r in got] == [2, 3, 2, 3]
+    assert got[2].certificate == got[0].certificate
+    assert got[3].certificate == got[1].certificate
+    assert is_ktds(g, got[2].certificate, 1)
 
 
 def _levels_after(g, k, value):
