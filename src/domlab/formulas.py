@@ -2,7 +2,8 @@
 
 Every operation returns a FormulaVerdict: the stated exact value, or lower
 and/or upper bounds, or NA outside its stated range instead of a guess.
-Fractional bounds stay exact rationals; callers compare through ceil/floor.
+Each bound is an integer: a fractional bound on a set size or a class count
+is rounded inward (a lower bound up, an upper bound down) where it is stated.
 Each stated formula is written once: the four k = 1 prism statements (cycle
 and path, total and total-restrained) share f_prism_k1.
 """
@@ -11,17 +12,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 
 @dataclass(frozen=True)
 class FormulaVerdict:
-    """An exact value, or bounds; with none of the three set it is n/a."""
+    """An exact value, or integer bounds (rounded inward); with none of the
+    three set it is n/a."""
 
     value: int | None = None
-    lower: Fraction | None = None
-    upper: Fraction | None = None
+    lower: int | None = None
+    upper: int | None = None
 
     def __post_init__(self):
         if self.lower is not None and self.upper is not None:
@@ -31,39 +32,24 @@ class FormulaVerdict:
     def applicable(self) -> bool:
         return (self.value, self.lower, self.upper) != (None, None, None)
 
-    @property
-    def lower_int(self) -> int | None:
-        """Tightest integer lower bound."""
-        if self.value is not None:
-            return self.value
-        return math.ceil(self.lower) if self.lower is not None else None
-
-    @property
-    def upper_int(self) -> int | None:
-        """Tightest integer upper bound."""
-        if self.value is not None:
-            return self.value
-        return math.floor(self.upper) if self.upper is not None else None
-
     def brackets(self, v: int) -> bool:
         """Whether an observed value is consistent with this verdict (every
         value is, when it is n/a)."""
-        lo = self.lower_int
-        hi = self.upper_int
-        return (lo is None or v >= lo) and (hi is None or v <= hi)
+        if self.value is not None:
+            return v == self.value
+        return ((self.lower is None or v >= self.lower)
+                and (self.upper is None or v <= self.upper))
 
     def render(self) -> str:
         if not self.applicable:
             return "n/a"
         if self.value is not None:
             return str(self.value)
-        lo = self.lower_int
-        hi = self.upper_int
-        if hi is None:
-            return f">={lo}"
-        if lo is None:
-            return f"<={hi}"
-        return f"[{lo},{hi}]"
+        if self.upper is None:
+            return f">={self.lower}"
+        if self.lower is None:
+            return f"<={self.upper}"
+        return f"[{self.lower},{self.upper}]"
 
 
 NA = FormulaVerdict()
@@ -135,33 +121,31 @@ def f_complete_bipartite(n: int, m: int, k: int) -> FormulaVerdict:
 
 
 def f_multipartite_bounds(parts: Sequence[int], k: int,
-                          t0: int | None = None,
-                          gamma_value: int | None = None) -> FormulaVerdict:
-    """Interval for K_{n1..np} when the value is below n; refined upper bound
-    when t0 is supplied. t0 < 2 forces the value n, so it is n/a."""
+                          t0: int | None = None) -> FormulaVerdict:
+    """Interval ceil(kp/(p-1)) <= value <= n - k for K_{n1..np} when the
+    value is below n; with t0 supplied the upper bound is
+    n - k - ceil(k/(t0-1)). t0 = 0 means the value is n (t0 = 1 never
+    occurs), so t0 < 2 is n/a."""
     p = len(parts)
     n = sum(parts)
-    if p < 3:
+    if p < 3 or (t0 is not None and t0 < 2):
         return NA
-    if gamma_value is not None and gamma_value >= n:
-        return NA
-    lower = Fraction(k * p, p - 1)
-    upper = Fraction(n - k)
+    # -(-a // b) is ceil(a/b)
+    upper = n - k
     if t0 is not None:
-        if t0 < 2:
-            return NA
-        upper = Fraction(n - k - math.ceil(Fraction(k, t0 - 1)))
-    return FormulaVerdict(lower=lower, upper=upper)
+        upper -= -(-k // (t0 - 1))
+    return FormulaVerdict(lower=-(-k * p // (p - 1)), upper=upper)
 
 
 def f_lower_edges(n: int, m: int, k: int) -> FormulaVerdict:
-    """Edge-count lower bound 3n/2 - m/k (k = 1 recovers the classic 3n/2 - m).
+    """Edge-count lower bound 3n/2 - m/k = (3nk - 2m)/(2k), rounded up
+    (k = 1 recovers the classic 3n/2 - m).
 
     Assumes minimum degree >= k; the caller checks it.
     """
     if k < 1:
         return NA
-    return FormulaVerdict(lower=Fraction(3 * n, 2) - Fraction(m, k))
+    return FormulaVerdict(lower=-((2 * m - 3 * n * k) // (2 * k)))
 
 
 def f_domatic_complete(n: int, k: int) -> FormulaVerdict:
@@ -172,10 +156,11 @@ def f_domatic_complete(n: int, k: int) -> FormulaVerdict:
 
 
 def f_domatic_caps(n: int, k: int, bipartite: bool = False) -> FormulaVerdict:
-    """Upper bound n/(k+1), improved to n/(2k) for bipartite graphs."""
+    """Upper bound n/(k+1), improved to n/(2k) for bipartite graphs, rounded
+    down."""
     if k < 1:
         return NA
-    return FormulaVerdict(upper=Fraction(n, 2 * k if bipartite else k + 1))
+    return FormulaVerdict(upper=n // (2 * k if bipartite else k + 1))
 
 
 def f_prism_k1(n: int) -> FormulaVerdict:
@@ -216,7 +201,7 @@ def f_prism_regular_lb(n: int, ell: int, k: int) -> FormulaVerdict:
         return NA
     if n <= ell + 2 * k - 1:
         return FormulaVerdict(2 * n)
-    return FormulaVerdict(lower=Fraction(n + k))
+    return FormulaVerdict(lower=n + k)
 
 
 def f_prism_sandwich(g_lo: int, g_lo_bar: int, g_hi: int, g_hi_bar: int,
@@ -225,10 +210,10 @@ def f_prism_sandwich(g_lo: int, g_lo_bar: int, g_hi: int, g_hi_bar: int,
     halves; the lower half needs k >= 2."""
     if k < 1:
         return NA
-    upper = Fraction(g_hi + g_hi_bar)
+    upper = g_hi + g_hi_bar
     if k == 1:
         return FormulaVerdict(upper=upper)
-    return FormulaVerdict(lower=Fraction(g_lo + g_lo_bar), upper=upper)
+    return FormulaVerdict(lower=g_lo + g_lo_bar, upper=upper)
 
 
 def f_kjoin_gamma(m: int, k: int) -> FormulaVerdict:

@@ -39,15 +39,15 @@ def test_bipartite_symmetry():
 
 
 def test_multipartite_interval():
-    v = F.f_multipartite_bounds((4, 4, 4), 2, gamma_value=5)
+    v = F.f_multipartite_bounds((4, 4, 4), 2)
     assert v.applicable
-    assert v.lower == Fraction(6, 2) and v.lower_int == 3
-    assert v.upper_int == 10
+    assert v.lower == 3 and v.upper == 10
     assert v.brackets(5)
-    refined = F.f_multipartite_bounds((4, 4, 4), 2, t0=3, gamma_value=5)
-    assert refined.upper_int == 9
+    refined = F.f_multipartite_bounds((4, 4, 4), 2, t0=3)
+    assert refined.upper == 9
     assert not F.f_multipartite_bounds((4, 4), 2).applicable
-    assert not F.f_multipartite_bounds((2, 2, 2), 2, gamma_value=6).applicable
+    # t0 = 0: the value is n
+    assert not F.f_multipartite_bounds((2, 2, 2), 2, t0=0).applicable
 
 
 def test_lower_edges_bound():
@@ -58,8 +58,8 @@ def test_lower_edges_bound():
 
 def test_domatic_formulas():
     assert F.f_domatic_complete(6, 1).value == 3
-    assert F.f_domatic_caps(10, 2).upper_int == 3
-    assert F.f_domatic_caps(10, 2, bipartite=True).upper_int == 2
+    assert F.f_domatic_caps(10, 2).upper == 3
+    assert F.f_domatic_caps(10, 2, bipartite=True).upper == 2
 
 
 def test_prism_cycle_formula():
@@ -81,16 +81,16 @@ def test_prism_path_formula():
 def test_regular_window():
     assert F.f_prism_regular_lb(5, 2, 2).value == 10  # n <= ell+2k-1
     lb = F.f_prism_regular_lb(8, 2, 2)
-    assert lb.render() == ">=10" and lb.lower_int == 10
+    assert lb.render() == ">=10" and lb.lower == 10
     assert not F.f_prism_regular_lb(8, 3, 2).applicable
 
 
 def test_sandwich():
     v = F.f_prism_sandwich(4, 2, 6, 6, 2)
-    assert v.lower_int == 6 and v.upper_int == 12
+    assert v.lower == 6 and v.upper == 12
     assert v.brackets(8)
     k1 = F.f_prism_sandwich(0, 0, 3, 4, 1)
-    assert k1.render() == "<=7" and k1.upper_int == 7
+    assert k1.render() == "<=7" and k1.upper == 7
 
 
 def test_kjoin():
@@ -105,7 +105,18 @@ def test_prelemmas():
 
 
 def test_render_and_brackets():
-    v = F.f_multipartite_bounds((3, 3, 3), 1, gamma_value=2)
+    v = F.f_multipartite_bounds((3, 3, 3), 1)
     assert v.render().startswith("[")
     na = F.f_cycle(3, 1)
     assert na.render() == "n/a" and na.brackets(99)
+
+
+def test_fractional_bounds_round_inward_to_ints():
+    for bound, expected in (
+            (F.f_lower_edges(5, 5, 3).lower, 6),                # 35/6
+            (F.f_multipartite_bounds((1, 1, 1), 1).lower, 2),    # 3/2
+            (F.f_multipartite_bounds((2, 2, 2, 2), 2).lower, 3),  # 8/3
+            # 12 - 3 - ceil(3/2)
+            (F.f_multipartite_bounds((4, 4, 4), 3, t0=3).upper, 7),
+            (F.f_domatic_caps(10, 3).upper, 2)):                # 5/2
+        assert type(bound) is int and bound == expected

@@ -1,6 +1,8 @@
 import random
+from collections import Counter
 from dataclasses import fields
-from itertools import accumulate, combinations, product
+from itertools import (accumulate, combinations,
+                       combinations_with_replacement, product)
 from math import comb
 
 import pytest
@@ -672,10 +674,22 @@ def test_t0_exact_matches_gamma():
 
 
 def test_t0_zero_iff_gamma_n():
-    for parts in ((1, 1, 1), (2, 1, 1), (3, 3, 3), (2, 2, 2, 2)):
-        k = 1
-        analysis = t0_exact(parts, k)
-        assert (analysis.t0 == 0) == (analysis.gamma_value == sum(parts))
+    # t0 = 1 never occurs: the vertices outside a proper kTRDS need
+    # neighbours outside it, so they lie in at least two parts
+    t0s = Counter()
+    for p in range(2, 7):
+        for parts in combinations_with_replacement(range(12, 0, -1), p):
+            n = sum(parts)
+            if n > 12:
+                continue
+            # every k <= 5 within the min degree n - parts[0]
+            for k in range(1, min(n - parts[0], 5) + 1):
+                analysis = t0_exact(parts, k)
+                assert analysis.t0 != 1, (parts, k)
+                assert (analysis.t0 == 0) == (analysis.gamma_value == n), \
+                    (parts, k)
+                t0s[analysis.t0] += 1
+    assert t0s == {0: 410, 2: 387, 3: 78, 4: 8, 5: 4, 6: 1}
 
 
 def _t0_by_subsets(parts, k):
