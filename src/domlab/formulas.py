@@ -25,8 +25,9 @@ class FormulaVerdict:
     upper: int | None = None
 
     def __post_init__(self):
-        if self.lower is not None and self.upper is not None:
-            assert self.lower <= self.upper
+        if self.lower is not None and self.upper is not None \
+                and self.lower > self.upper:
+            raise ValueError(f"empty interval [{self.lower},{self.upper}]")
 
     @property
     def applicable(self) -> bool:
@@ -121,20 +122,17 @@ def f_complete_bipartite(n: int, m: int, k: int) -> FormulaVerdict:
 
 
 def f_multipartite_bounds(parts: Sequence[int], k: int,
-                          t0: int | None = None) -> FormulaVerdict:
-    """Interval ceil(kp/(p-1)) <= value <= n - k for K_{n1..np} when the
-    value is below n; with t0 supplied the upper bound is
-    n - k - ceil(k/(t0-1)). t0 = 0 means the value is n (t0 = 1 never
-    occurs), so t0 < 2 is n/a."""
+                          t0: int) -> FormulaVerdict:
+    """Interval ceil(kp/(p-1)) <= value <= n - k - ceil(k/(t0-1)) for
+    K_{n1..np}, stated where the value is below n. t0 decides that: t0 = 0
+    exactly when the value is n (t0 = 1 never occurs), so t0 < 2 is n/a;
+    without t0 the interval would exclude n there, or be empty."""
     p = len(parts)
-    n = sum(parts)
-    if p < 3 or (t0 is not None and t0 < 2):
+    if p < 3 or t0 < 2:
         return NA
     # -(-a // b) is ceil(a/b)
-    upper = n - k
-    if t0 is not None:
-        upper -= -(-k // (t0 - 1))
-    return FormulaVerdict(lower=-(-k * p // (p - 1)), upper=upper)
+    return FormulaVerdict(lower=-(-k * p // (p - 1)),
+                          upper=sum(parts) - k - -(-k // (t0 - 1)))
 
 
 def f_lower_edges(n: int, m: int, k: int) -> FormulaVerdict:

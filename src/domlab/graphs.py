@@ -32,20 +32,21 @@ class Graph:
 
     Bit w of masks[v] is set iff vw is an edge; the masks are the only
     stored adjacency. Callers that construct a Graph directly keep the
-    invariants: len(masks) == n, no self-loops (bit v of masks[v] clear)
-    and symmetric masks; build_graph checks an edge list from outside the
-    program. Equality and hashing use n, masks and labels. min_degree is
-    derived once, with the graph; degrees, edges and the neighbour sets adj
-    are computed from the masks on each access. Instances are immutable and
-    safe to share across threads.
+    invariants: no self-loops (bit v of masks[v] clear), symmetric masks
+    and no bit at or above len(masks); build_graph checks an edge list from
+    outside the program. Equality and hashing use masks and labels. The
+    order n = len(masks) and min_degree are derived once, with the graph;
+    degrees, edges and adj are computed from the masks on each access.
+    Instances are immutable and safe to share across threads.
     """
 
-    n: int
     masks: tuple[int, ...]
     labels: tuple[str, ...] | None = None
+    n: int = field(init=False, repr=False, compare=False)
     min_degree: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "n", len(self.masks))
         object.__setattr__(self, "min_degree",
                            min(map(int.bit_count, self.masks), default=0))
 
@@ -93,30 +94,30 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             raise ValueError(f"endpoint out of range 0..{n - 1}: ({u}, {v})")
         masks[u] |= 1 << v
         masks[v] |= 1 << u
-    return Graph(n, tuple(masks))
+    return Graph(tuple(masks))
 
 
 def complete(n: int) -> Graph:
     if n < 1:
         raise ValueError("complete(n) needs n >= 1")
     full = (1 << n) - 1
-    return Graph(n, tuple(full ^ 1 << v for v in range(n)))
+    return Graph(tuple(full ^ 1 << v for v in range(n)))
 
 
 def cycle(n: int) -> Graph:
     """C_n on vertices 1..n (stored 0-based): path edges plus the edge {1, n}."""
     if n < 3:
         raise ValueError(f"cycle(n) needs n >= 3, got {n}")
-    return Graph(n, tuple(1 << (v - 1) % n | 1 << (v + 1) % n
-                          for v in range(n)))
+    return Graph(tuple(1 << (v - 1) % n | 1 << (v + 1) % n
+                       for v in range(n)))
 
 
 def path(n: int) -> Graph:
     if n < 1:
         raise ValueError("path(n) needs n >= 1")
     full = (1 << n) - 1
-    return Graph(n, tuple(((1 << v) >> 1 | 1 << v + 1) & full
-                          for v in range(n)))
+    return Graph(tuple(((1 << v) >> 1 | 1 << v + 1) & full
+                       for v in range(n)))
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
@@ -134,7 +135,7 @@ def complete_multipartite(parts: Sequence[int]) -> Graph:
     masks = []
     for p in parts:
         masks += [full ^ ((1 << p) - 1) << len(masks)] * p
-    return Graph(n, tuple(masks))
+    return Graph(tuple(masks))
 
 
 def _complement_masks(g: Graph) -> tuple[int, ...]:
@@ -144,7 +145,7 @@ def _complement_masks(g: Graph) -> tuple[int, ...]:
 
 def complement(g: Graph) -> Graph:
     """Same vertex set and labels; uv an edge iff it is not one in g."""
-    return Graph(g.n, _complement_masks(g), g.labels)
+    return Graph(_complement_masks(g), g.labels)
 
 
 def complementary_prism(g: Graph) -> Graph:
@@ -158,7 +159,7 @@ def complementary_prism(g: Graph) -> Graph:
         tuple(m << n | 1 << v for v, m in enumerate(_complement_masks(g)))
     labels = tuple(str(i + 1) for i in range(n)) + \
         tuple(str(i + 1) + BAR for i in range(n))
-    return Graph(2 * n, masks, labels)
+    return Graph(masks, labels)
 
 
 def corona_k1(g: Graph) -> Graph:
@@ -166,7 +167,7 @@ def corona_k1(g: Graph) -> Graph:
     n = g.n
     masks = tuple(m | 1 << n + v for v, m in enumerate(g.masks)) + \
         tuple(1 << v for v in range(n))
-    return Graph(2 * n, masks)
+    return Graph(masks)
 
 
 def k_join(f: Graph, h: Graph, k: int) -> Graph:
@@ -182,7 +183,7 @@ def k_join(f: Graph, h: Graph, k: int) -> Graph:
     to_h = ((1 << k) - 1) << nf
     masks = tuple(m | to_h for m in f.masks) + \
         tuple(m << nf | (to_f if j < k else 0) for j, m in enumerate(h.masks))
-    return Graph(nf + h.n, masks)
+    return Graph(masks)
 
 
 def write_edge_list(g: Graph, fh) -> None:

@@ -285,8 +285,8 @@ def check_witnesses() -> list[Row]:
     # dominating sets exist (classes need not be minimum)
     dres = domatic_exact(DominationQuery(graphs["prism:cycle:5"], 1, TOTAL))
     rows.append(Row("witness:prism-cycle-pair:5|claim-check", "prism:cycle:5",
-                    10, 1, TOTAL, str(dres.value), ">=2", True,
-                    bool(dres.feasible and dres.value >= 2),
+                    graphs["prism:cycle:5"].n, 1, TOTAL, str(dres.value),
+                    ">=2", True, bool(dres.feasible and dres.value >= 2),
                     note="domatic solver checks the claim the pair supports"))
     return rows
 
@@ -302,7 +302,7 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
             if rng.random() < p:
                 masks[u] |= 1 << v
                 masks[v] |= 1 << u
-    return Graph(n, tuple(masks))
+    return Graph(tuple(masks))
 
 
 def random_suite(seed: int, count: int, n_lo: int, n_hi: int,

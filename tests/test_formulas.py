@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from domlab import formulas as F
 
 
@@ -39,15 +41,22 @@ def test_bipartite_symmetry():
 
 
 def test_multipartite_interval():
-    v = F.f_multipartite_bounds((4, 4, 4), 2)
+    # each t0 is t0_exact's
+    v = F.f_multipartite_bounds((4, 4, 4), 2, t0=2)
     assert v.applicable
-    assert v.lower == 3 and v.upper == 10
-    assert v.brackets(5)
-    refined = F.f_multipartite_bounds((4, 4, 4), 2, t0=3)
-    assert refined.upper == 9
-    assert not F.f_multipartite_bounds((4, 4), 2).applicable
-    # t0 = 0: the value is n
-    assert not F.f_multipartite_bounds((2, 2, 2), 2, t0=0).applicable
+    assert v.lower == 3 and v.upper == 8    # 12 - 2 - ceil(2/1)
+    assert v.brackets(3)
+    point = F.f_multipartite_bounds((2, 2, 2), 2, t0=3)
+    assert point.lower == point.upper == 3
+    assert not F.f_multipartite_bounds((4, 4), 2, t0=2).applicable
+    # t0 = 0: the value is n, outside the stated range
+    assert not F.f_multipartite_bounds((1, 1, 1), 2, t0=0).applicable
+    assert not F.f_multipartite_bounds((2, 2, 2), 3, t0=0).applicable
+
+
+def test_verdict_refuses_empty_interval():
+    with pytest.raises(ValueError, match="empty interval"):
+        F.FormulaVerdict(lower=3, upper=1)
 
 
 def test_lower_edges_bound():
@@ -105,7 +114,7 @@ def test_prelemmas():
 
 
 def test_render_and_brackets():
-    v = F.f_multipartite_bounds((3, 3, 3), 1)
+    v = F.f_multipartite_bounds((3, 3, 3), 1, t0=2)
     assert v.render().startswith("[")
     na = F.f_cycle(3, 1)
     assert na.render() == "n/a" and na.brackets(99)
@@ -114,8 +123,8 @@ def test_render_and_brackets():
 def test_fractional_bounds_round_inward_to_ints():
     for bound, expected in (
             (F.f_lower_edges(5, 5, 3).lower, 6),                # 35/6
-            (F.f_multipartite_bounds((1, 1, 1), 1).lower, 2),    # 3/2
-            (F.f_multipartite_bounds((2, 2, 2, 2), 2).lower, 3),  # 8/3
+            (F.f_multipartite_bounds((2, 2, 2), 1, t0=2).lower, 2),     # 3/2
+            (F.f_multipartite_bounds((2, 2, 2, 2), 2, t0=2).lower, 3),  # 8/3
             # 12 - 3 - ceil(3/2)
             (F.f_multipartite_bounds((4, 4, 4), 3, t0=3).upper, 7),
             (F.f_domatic_caps(10, 3).upper, 2)):                # 5/2

@@ -9,15 +9,27 @@ from domlab.graphs import (BAR, Graph, build_graph, complement,
                            complete_multipartite, corona_k1, cycle, k_join,
                            path, read_edge_list, write_edge_list)
 from domlab.smallgraphs import all_graphs
+from domlab.solver import (VARIANT_TOTAL, DominationQuery, domatic_exact,
+                           gamma_exact, gamma_naive)
 from domlab.verify import random_graph
 
 
 def test_graph_stores_only_masks():
     # degrees, edges and the neighbour sets are computed from the masks
-    assert Graph.__slots__ == ("n", "masks", "labels", "min_degree")
+    assert Graph.__slots__ == ("masks", "labels", "n", "min_degree")
     g = cycle(5)
     assert g.adj == (frozenset({1, 4}), frozenset({0, 2}), frozenset({1, 3}),
                      frozenset({2, 4}), frozenset({0, 3}))
+
+
+def test_graph_from_masks_alone_agrees_in_every_solver():
+    g = Graph((0b110, 0b101, 0b011))
+    assert g.n == 3
+    assert g == complete(3) and hash(g) == hash(complete(3))
+    q = DominationQuery(g, 1, VARIANT_TOTAL)
+    assert gamma_exact(q).value == gamma_naive(q).value == 2
+    dres = domatic_exact(q)
+    assert dres.value == 1 and dres.certificate == (frozenset({0, 1, 2}),)
 
 
 def test_build_graph_rejects_self_loop():

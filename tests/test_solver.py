@@ -8,7 +8,7 @@ from math import comb
 import pytest
 
 from domlab.family_spec import family_graph
-from domlab.formulas import f_domatic_complete
+from domlab.formulas import f_domatic_complete, f_multipartite_bounds
 from domlab.graphs import (complement, complementary_prism, complete,
                            complete_bipartite, complete_multipartite, cycle,
                            path)
@@ -688,6 +688,10 @@ def test_t0_zero_iff_gamma_n():
                 assert analysis.t0 != 1, (parts, k)
                 assert (analysis.t0 == 0) == (analysis.gamma_value == n), \
                     (parts, k)
+                verdict = f_multipartite_bounds(parts, k, analysis.t0)
+                assert verdict.applicable == (p >= 3 and analysis.t0 != 0), \
+                    (parts, k)
+                assert verdict.brackets(analysis.gamma_value), (parts, k)
                 t0s[analysis.t0] += 1
     assert t0s == {0: 410, 2: 387, 3: 78, 4: 8, 5: 4, 6: 1}
 
