@@ -192,8 +192,8 @@ def _column_set(cols: Sequence[int], i: int) -> frozenset[int]:
     return frozenset(u for u, c in enumerate(cols) if c >> i & 1)
 
 
-# (masks, k, value) of gamma_exact's last total solve
-_last_total: tuple = (None, 0, 0)
+# (masks, k, value, certificate mask) of gamma_exact's last total solve
+_last_total: tuple = (None, 0, 0, 0)
 
 
 def gamma_exact(q: DominationQuery,
@@ -204,14 +204,18 @@ def gamma_exact(q: DominationQuery,
     the first one in subset order, which enumerate_optimal_sets lists first.
 
     Every kTRDS is a kTDS, so γ_t <= γ^r. A total solve keeps (masks, k,
-    γ_t) in _last_total, and a restrained solve whose graph has the same
-    masks tuple (by identity: the slot holds it, so its id is not reused)
-    and the same k starts its search at γ_t. So a restrained solve's node
-    count depends on the call before it: prism:cycle:16 at k = 1 takes 211
-    nodes alone and 128 right after its total. Its value and certificate do
-    not. The slot is one tuple, read once and replaced whole, so a thread
-    sees either its own total or another (masks, k, γ_t), which is only
-    used when it is the same graph and k and so holds the same γ_t.
+    γ_t, its certificate's mask) in _last_total. A restrained solve whose
+    graph has the same masks tuple (by identity: the slot holds it, so its
+    id is not reused) and the same k first tests that set with is_ktrds: a
+    kTRDS of γ_t vertices proves γ^r = γ_t, so the solve returns it with
+    no search (nodes_explored = 0). Otherwise it starts its search at γ_t.
+    So a restrained solve's node count depends on the call before it:
+    prism:cycle:16 at k = 1 takes 211 nodes alone and none right after its
+    total. Its value does not, and its certificate is an optimal kTRDS
+    either way. The slot is one tuple, read once and replaced whole, so a
+    thread sees either its own total or another (masks, k, γ_t, set),
+    which is only used when it is the same graph and k and so holds the
+    same γ_t and a kTDS of that size.
     """
     global _last_total
     g = q.graph
@@ -220,13 +224,17 @@ def gamma_exact(q: DominationQuery,
         return SolveResult(False, None, None)
     masks = g.masks
     if q.restrained:
-        seen, k, floor = _last_total
-        if seen is not masks or k != q.k:
+        seen, k, floor, cert_mask = _last_total
+        if seen is masks and k == q.k:
+            cert = mask_vertices(cert_mask)
+            if is_ktrds(g, cert, q.k):
+                return SolveResult(True, floor, cert, 0)
+        else:
             floor = 0
         value, cert_mask, nodes = _gamma_search(masks, q.k, True, floor)
     else:
         value, cert_mask, nodes = _gamma_search(masks, q.k, False)
-        _last_total = (masks, q.k, value)
+        _last_total = (masks, q.k, value, cert_mask)
     return SolveResult(True, value, mask_vertices(cert_mask), nodes)
 
 

@@ -9,9 +9,9 @@ import pytest
 
 from domlab.family_spec import family_graph
 from domlab.formulas import f_domatic_complete, f_multipartite_bounds
-from domlab.graphs import (complement, complementary_prism, complete,
-                           complete_bipartite, complete_multipartite, cycle,
-                           path)
+from domlab.graphs import (Graph, build_graph, complement, complementary_prism,
+                           complete, complete_bipartite, complete_multipartite,
+                           cycle, path)
 from domlab.predicates import is_ktdp, is_ktds, is_ktrdp, is_ktrds
 from domlab.smallgraphs import all_graphs
 from domlab import solver
@@ -156,7 +156,7 @@ GAMMA_NODE_PINS = {
 
 def test_gamma_node_pins(monkeypatch):
     # forget the last total solve, which another test may have left
-    monkeypatch.setattr(solver, "_last_total", (None, 0, 0))
+    monkeypatch.setattr(solver, "_last_total", (None, 0, 0, 0))
     got = {}
     cases = 0
     for g, k in _certificate_cases_to_seven():
@@ -171,12 +171,13 @@ def test_gamma_node_pins(monkeypatch):
 
 
 # the restrained nodes of GAMMA_NODE_PINS, 3,590 in all, when each
-# restrained solve runs right after the total of its graph and k and so
-# starts at that value; the README's prism:cycle:16 at k = 1 takes 128
-# nodes so (211 alone, see ALONE)
+# restrained solve runs right after the total of its graph and k: it answers
+# with the total's set when that set is a kTRDS, and otherwise starts its
+# search at the total's value; the README's prism:cycle:16 at k = 1 takes
+# no node so (211 alone, see ALONE)
 GAMMA_FLOORED_NODE_PINS = {
-    (4, 1): 7, (5, 1): 42, (6, 1): 284, (6, 2): 18, (7, 1): 2_563,
-    (7, 2): 389,
+    (4, 1): 1, (5, 1): 21, (6, 1): 156, (6, 2): 6, (7, 1): 1_488,
+    (7, 2): 269,
 }
 
 
@@ -189,11 +190,11 @@ def test_gamma_floored_node_pins():
         if nodes:
             got[g.n, k] = got.get((g.n, k), 0) + nodes
     assert got == GAMMA_FLOORED_NODE_PINS
-    assert sum(got.values()) == 3_303
+    assert sum(got.values()) == 1_941
     g, guards = family_graph("prism:cycle:16"), Guards(gamma_n=40)
     gamma_exact(DominationQuery(g, 1, VARIANT_TOTAL), guards)
     assert gamma_exact(DominationQuery(g, 1, VARIANT_RESTRAINED),
-                       guards).nodes_explored == 128
+                       guards).nodes_explored == 0
 
 
 def _certificate_cases_past_seven():
@@ -248,11 +249,12 @@ def test_deep_prism_solves_under_node_ceiling(family, k, variant):
 
 
 def test_restrained_after_total_is_the_standalone_solve(monkeypatch):
-    # a restrained solve right after the total of its graph and k starts at
+    # a restrained solve right after the total of its graph and k answers
+    # with the total's set when it is a kTRDS and otherwise starts at
     # γ_t <= γ^r: the same value and certificate as alone, in no more nodes.
     # Each case's first restrained solve follows the total of the case
     # before, another graph or another k, so it runs alone
-    monkeypatch.setattr(solver, "_last_total", (None, 0, 0))
+    monkeypatch.setattr(solver, "_last_total", (None, 0, 0, 0))
     guards = Guards(gamma_n=40)
     cases = fewer = 0
     for g, k in (*_certificate_cases_to_seven(),
@@ -268,7 +270,7 @@ def test_restrained_after_total_is_the_standalone_solve(monkeypatch):
         assert after.nodes_explored <= alone.nodes_explored, (g.edges(), k)
         fewer += after.nodes_explored < alone.nodes_explored
         cases += 1
-    assert (cases, fewer) == (1803 + 134 + 4, 180)
+    assert (cases, fewer) == (1803 + 134 + 4, 715)
 
 
 # what a restrained solve at k = 1 gives alone: value, certificate, nodes
@@ -322,6 +324,55 @@ def test_restrained_value_never_starts_a_total_solve():
     assert got[2].certificate == got[0].certificate
     assert got[3].certificate == got[1].certificate
     assert is_ktds(g, got[2].certificate, 1)
+
+
+def _union_cases():
+    """(union, its two parts, k): 30 disjoint unions of two seeded
+    G(n, 0.4) graphs with 10-18 vertices each, so 20-36 in all, past the
+    naive guard, for every k <= 3 up to the union's minimum degree."""
+    rng = random.Random(20230417)
+    for _ in range(30):
+        g, h = (random_graph(rng, rng.randint(10, 18), 0.4) for _ in range(2))
+        union = Graph(g.masks + tuple(m << g.n for m in h.masks))
+        for k in range(1, min(union.min_degree, 3) + 1):
+            yield union, (g, h), k
+
+
+def test_metamorphic_relations_past_the_naive_guard(monkeypatch):
+    # no oracle reaches these sizes, so the kernel is checked against itself
+    # by three relations that hold for every graph, on values only: γ of a
+    # disjoint union is the sum over its parts, a relabelling keeps γ, and a
+    # restrained solve right after its total gives the value it gives alone.
+    # Every solve but that one starts with an empty slot
+    guards = Guards(gamma_n=36)
+    rng = random.Random(5)
+
+    def alone(g, k, variant):
+        monkeypatch.setattr(solver, "_last_total", (None, 0, 0, 0))
+        return gamma_exact(DominationQuery(g, k, variant), guards).value
+
+    failures = []
+    cases = 0
+    for union, parts, k in _union_cases():
+        perm = rng.sample(range(union.n), union.n)
+        relabelled = build_graph(union.n, [(perm[u], perm[v])
+                                           for u, v in union.edges()])
+        alone_values = {}
+        for variant in (VARIANT_RESTRAINED, VARIANT_TOTAL):
+            parts_value = sum(alone(part, k, variant) for part in parts)
+            relabelled_value = alone(relabelled, k, variant)
+            value = alone_values[variant] = alone(union, k, variant)
+            if value != parts_value:
+                failures.append(("union", union.n, k, variant))
+            if value != relabelled_value:
+                failures.append(("relabelled", union.n, k, variant))
+            cases += 1
+        # the union's total solve ran last, so this one follows it
+        if gamma_exact(DominationQuery(union, k, VARIANT_RESTRAINED),
+                       guards).value != alone_values[VARIANT_RESTRAINED]:
+            failures.append(("after total", union.n, k))
+    assert failures == []
+    assert cases == 110
 
 
 def _levels_after(g, k, value):
