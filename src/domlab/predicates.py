@@ -1,36 +1,61 @@
 """Set predicates for k-tuple total (restrained) domination.
 
 All predicates are pure and read a graph's adjacency bitmasks, counting each
-vertex's neighbours inside and outside a set. The set forms take a vertex
-collection; ktds_batch tests a whole batch of sets at once for the
-exhaustive scans: each vertex's column is a bitmask over the sets of the
-batch. They are the single source of truth that the solvers and witness
-validation defer to.
+vertex's neighbours inside and outside a set. The set form, failures, takes
+a vertex collection and lists why it fails, in one pass over the vertices:
+a kTRDS is a kTDS whose outside vertices also have k neighbours outside it,
+so the restrained check is the total one plus a second count per vertex.
+ktds_batch tests a whole batch of sets at once for the exhaustive scans:
+each vertex's column is a bitmask over the sets of the batch. They are the
+single source of truth that the solvers and witness validation defer to.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
 from typing import Iterable, Sequence
 
 from .graphs import Graph, bit_indices
 
 
-def _as_set(g: Graph, s: Iterable[int]) -> frozenset[int]:
+def _mask(g: Graph, s: Iterable[int]) -> int:
+    """The bitmask of the vertex set s; a vertex outside g raises ValueError."""
     out = frozenset(s)
     bad = [v for v in out if not 0 <= v < g.n]
     if bad:
         raise ValueError(f"vertices outside 0..{g.n - 1}: {sorted(bad)}")
-    return out
+    return sum(1 << v for v in out)
+
+
+def failures(g: Graph, s: Iterable[int], k: int,
+             restrained: bool) -> list[str]:
+    """Human-readable reasons s fails the kTDS condition, or the kTRDS
+    condition when restrained: every vertex with fewer than k neighbours in
+    s, then every vertex outside s with fewer than k neighbours outside s."""
+    s_mask = _mask(g, s)
+    few_in, few_out = [], []
+    for v, nb in enumerate(g.masks):
+        have = (nb & s_mask).bit_count()
+        if have < k:
+            few_in.append(f"vertex {g.label(v)} has {have} neighbors in S, "
+                          f"needs {k}")
+        if restrained and not s_mask >> v & 1:
+            have = (nb & ~s_mask).bit_count()
+            if have < k:
+                few_out.append(f"vertex {g.label(v)} outside S has {have} "
+                               f"neighbors outside S, needs {k}")
+    return few_in + few_out
 
 
 def is_ktds(g: Graph, s: Iterable[int], k: int) -> bool:
     """True iff every vertex of g (inside or outside s) has >= k neighbors in s."""
-    return not ktds_failures(g, s, k)
+    return not failures(g, s, k, False)
 
 
 def is_ktrds(g: Graph, s: Iterable[int], k: int) -> bool:
     """True iff s is a kTDS and every vertex outside s has >= k neighbors outside s."""
-    return not ktrds_failures(g, s, k)
+    return not failures(g, s, k, True)
 
 
 def ktds_batch(masks: Sequence[int], cols: Sequence[int], full: int,
@@ -52,8 +77,8 @@ def ktds_batch(masks: Sequence[int], cols: Sequence[int], full: int,
     sets that pass for lo. Each pass lets v pass on a skip column, the sets
     where v needs no count: none (0) in the first pass, cols[v] in the
     second. Every mask lies inside the one for lo, so each pass stops
-    once that mask is empty. The set forms (ktds_failures, ktrds_failures)
-    stay the readable reference.
+    once that mask is empty. The set form (failures) stays the readable
+    reference.
     """
     # the counter loop is inlined: a call per vertex would cost more than
     # the loop itself on the sweep's small batches.
@@ -87,48 +112,20 @@ def ktds_batch(masks: Sequence[int], cols: Sequence[int], full: int,
 
 
 def _is_partition_of(g: Graph, partition: Sequence[Iterable[int]], k: int,
-                     pred) -> bool:
-    parts = [_as_set(g, p) for p in partition]
-    if not parts:
-        return g.n == 0
-    if sum(len(p) for p in parts) != g.n:
+                     restrained: bool) -> bool:
+    masks = [_mask(g, p) for p in partition]
+    # the classes cover V, and their sizes add up to n only if disjoint
+    if (sum(m.bit_count() for m in masks) != g.n
+            or reduce(or_, masks, 0) != (1 << g.n) - 1):
         return False
-    if frozenset().union(*parts) != frozenset(range(g.n)):
-        return False
-    return all(pred(g, p, k) for p in parts)
+    return not any(failures(g, bit_indices(m), k, restrained) for m in masks)
 
 
 def is_ktrdp(g: Graph, partition: Sequence[Iterable[int]], k: int) -> bool:
     """True iff the sets are pairwise disjoint, cover V(g), and each is a kTRDS."""
-    return _is_partition_of(g, partition, k, is_ktrds)
+    return _is_partition_of(g, partition, k, True)
 
 
 def is_ktdp(g: Graph, partition: Sequence[Iterable[int]], k: int) -> bool:
     """Domatic-partition predicate for the non-restrained (total) variant."""
-    return _is_partition_of(g, partition, k, is_ktds)
-
-
-def ktds_failures(g: Graph, s: Iterable[int], k: int) -> list[str]:
-    """Human-readable reasons a set fails the kTDS condition."""
-    s_mask = sum(1 << v for v in _as_set(g, s))
-    out = []
-    for v in range(g.n):
-        have = (g.masks[v] & s_mask).bit_count()
-        if have < k:
-            out.append(f"vertex {g.label(v)} has {have} neighbors in S, needs {k}")
-    return out
-
-
-def ktrds_failures(g: Graph, s: Iterable[int], k: int) -> list[str]:
-    """Human-readable reasons a set fails the kTRDS condition."""
-    sset = _as_set(g, s)
-    out = ktds_failures(g, sset, k)
-    s_mask = sum(1 << v for v in sset)
-    for v in range(g.n):
-        if v in sset:
-            continue
-        have = (g.masks[v] & ~s_mask).bit_count()
-        if have < k:
-            out.append(f"vertex {g.label(v)} outside S has {have} neighbors "
-                       f"outside S, needs {k}")
-    return out
+    return _is_partition_of(g, partition, k, False)

@@ -23,7 +23,7 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, takewhile
 from math import comb, prod
 from operator import neg
 from typing import Iterator, Sequence
@@ -313,17 +313,13 @@ def enumerate_optimal_sets(q: DominationQuery,
                            guards: Guards = DEFAULT_GUARDS) -> list[frozenset[int]]:
     """All minimum-cardinality sets for the variant in subset order (empty
     if infeasible): the hits of gamma_naive's size in the batch where its
-    scan found the first one. A batch holds whole sizes, so they all lie
-    there, ahead of the larger sets; the hits are cut at the first set of
-    size value + 1, so only those of gamma_naive's size are listed."""
+    scan found the first one. A batch holds whole sizes in order, so they
+    all lie there, ahead of the larger sets, and the listing stops at the
+    first hit of another size."""
     res, cols, hits = _naive_scan(q.graph, (q.k,), (q.variant,),
                                   guards)[q.k, q.variant]
-    if not hits:
-        return []
-    # nodes_explored counts the batches before this one and the first hit
-    before = res.nodes_explored - (hits & -hits).bit_length()
-    end = sum(comb(q.graph.n, j) for j in range(res.value + 1)) - before
-    return [_column_set(cols, i) for i in bit_indices(hits & ((1 << end) - 1))]
+    sets = (_column_set(cols, i) for i in bit_indices(hits))
+    return list(takewhile(lambda s: len(s) == res.value, sets))
 
 
 def t0_exact(parts: Sequence[int], k: int,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from .graphs import Graph
-from .predicates import ktds_failures, ktrds_failures
+from .predicates import failures
 
 
 def _one_based(vertices) -> frozenset[int]:
@@ -175,11 +175,11 @@ def validate_witness(g: Graph, w: tuple[frozenset[int], ...],
     if outside:
         return [f"vertices outside 0..{g.n - 1}: {outside}"]
     if len(w) == 1:
-        return ktrds_failures(g, w[0], k)
+        return failures(g, w[0], k, True)
     a, b = w
-    failures = []
+    out = []
     if a & b:
-        failures.append(f"sets overlap on {sorted(v + 1 for v in a & b)}")
+        out.append(f"sets overlap on {sorted(v + 1 for v in a & b)}")
     for tag, s in (("S", a), ("S'", b)):
-        failures.extend(f"{tag}: {msg}" for msg in ktds_failures(g, s, k))
-    return failures
+        out.extend(f"{tag}: {msg}" for msg in failures(g, s, k, False))
+    return out

@@ -1,8 +1,8 @@
 import pytest
 
 from domlab.graphs import build_graph, complementary_prism, complete, cycle
-from domlab.predicates import (is_ktdp, is_ktds, is_ktrdp, is_ktrds,
-                               ktds_batch, ktds_failures, ktrds_failures)
+from domlab.predicates import (failures, is_ktdp, is_ktds, is_ktrdp,
+                               is_ktrds, ktds_batch)
 from domlab.smallgraphs import all_graphs
 from domlab.solver import subset_levels
 
@@ -46,14 +46,14 @@ def test_partition_predicates():
 
 def test_failure_messages_name_vertices():
     g = cycle(5)
-    msgs = ktrds_failures(g, {0, 1, 2, 3}, 1)
+    msgs = failures(g, {0, 1, 2, 3}, 1, True)
     assert any("outside" in m for m in msgs)
-    assert ktds_failures(g, {0, 1}, 1)
+    assert failures(g, {0, 1}, 1, False)
 
 
 def test_failure_messages_exact_text_on_labelled_prism():
     g = complementary_prism(cycle(5))
-    assert ktrds_failures(g, {0, 1, 2, 3, 5}, 2) == [
+    assert failures(g, {0, 1, 2, 3, 5}, 2, True) == [
         "vertex 4 has 1 neighbors in S, needs 2",
         "vertex 1̄ has 1 neighbors in S, needs 2",
         "vertex 2̄ has 1 neighbors in S, needs 2",
@@ -64,8 +64,17 @@ def test_failure_messages_exact_text_on_labelled_prism():
 
 
 def test_out_of_range_vertices_rejected():
-    with pytest.raises(ValueError, match="outside"):
-        is_ktds(cycle(4), {0, 9}, 1)
+    # every set-form entry point validates, a partition each of its classes
+    g = cycle(4)
+    checks = [lambda s: is_ktds(g, s, 1), lambda s: is_ktrds(g, s, 1),
+              lambda s: failures(g, s, 1, False),
+              lambda s: failures(g, s, 1, True),
+              lambda s: is_ktdp(g, [{1, 2, 3}, s], 1),
+              lambda s: is_ktrdp(g, [{1, 2, 3}, s], 1)]
+    for check in checks:
+        with pytest.raises(ValueError,
+                           match=r"^vertices outside 0\.\.3: \[-1, 9\]$"):
+            check({0, 9, -1})
 
 
 def test_mask_predicate_matches_set_predicates():

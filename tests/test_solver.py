@@ -619,6 +619,10 @@ def test_domatic_matches_partition_scan():
         partitions = list(_set_partitions(n))
         for g in all_graphs(n):
             for k in (1, 2):
+                # a kTDP is a kTRDP: a vertex outside a class lies in
+                # another, which holds k of its neighbours
+                assert all(is_ktdp(g, p, k) == is_ktrdp(g, p, k)
+                           for p in partitions), (g.edges(), k)
                 for variant, pred in (("total", is_ktdp),
                                       ("restrained", is_ktrdp)):
                     want = max((len(p) for p in partitions
