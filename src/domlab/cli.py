@@ -30,13 +30,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_query_args(p: argparse.ArgumentParser) -> None:
-    """The graph source, k and variant that gamma and domatic share."""
+    """The graph source and k that gamma and domatic share."""
     grp = p.add_mutually_exclusive_group(required=True)
     grp.add_argument("--family", help="family spec, e.g. prism:cycle:6")
     grp.add_argument("--input", help="edge-list file ('-' for stdin)")
     p.add_argument("--k", type=int, default=1)
-    p.add_argument("--variant", default="restrained",
-                   choices=["restrained", "total-restrained", "total"])
 
 
 def _load_graph(args) -> Graph:
@@ -70,6 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gamma = sub.add_parser("gamma", help="domination number")
     _add_query_args(p_gamma)
+    p_gamma.add_argument("--variant", default="restrained",
+                         choices=["restrained", "total-restrained", "total"])
     p_gamma.add_argument("--certificate", action="store_true",
                          help="print one optimal set (1-based); with --naive, "
                               "the first in subset order")
@@ -79,6 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="print the search work (kernel nodes, or "
                               "subsets with --naive) and the elapsed time")
 
+    # one number: every kTDP is a kTRDP, so domatic takes no variant
     p_dom = sub.add_parser("domatic", help="domatic number")
     _add_query_args(p_dom)
     p_dom.add_argument("--certificate", action="store_true",
@@ -128,12 +129,11 @@ def _cmd_gamma(args) -> int:
 
 def _cmd_domatic(args) -> int:
     g = _load_graph(args)
-    q = DominationQuery(g, args.k, args.variant)
-    res, ms = _timed(domatic_exact, q, Guards.from_env())
+    res, ms = _timed(domatic_exact, g, args.k, Guards.from_env())
     if not res.feasible:
         print(f"infeasible: min degree {g.min_degree} < k={args.k}")
         return EXIT_INFEASIBLE
-    print(f"domatic = {res.value}  (k={q.k}, variant={q.variant})")
+    print(f"domatic = {res.value}  (k={args.k})")
     if args.certificate:
         for i, cls in enumerate(res.certificate, 1):
             print(f"class {i}: {_fmt_set(cls)}")

@@ -12,8 +12,8 @@ drives the sweep's property suite; t0_exact tests one set per vector of
 part counts, likewise. Each enumerator is the rest of its solver's search:
 enumerate_optimal_sets lists the hits of gamma_naive's size in the batch
 where its scan stopped, and enumerate_domatic_partitions every partition of
-the class-assignment search whose first one domatic_exact takes (one search
-for both variants, each partition re-checked with is_ktrdp or is_ktdp).
+the class-assignment search whose first one domatic_exact takes; neither
+takes a variant, as the two domatic numbers are one (see domatic_exact).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from operator import neg
 from typing import Iterator, Sequence
 
 from .graphs import Graph, bit_indices, complete_multipartite, mask_vertices
-from .predicates import is_ktdp, is_ktds, is_ktrdp, is_ktrds, ktds_batch
+from .predicates import is_ktds, is_ktrdp, is_ktrds, ktds_batch
 
 VARIANT_TOTAL = "total"
 VARIANT_RESTRAINED = "total-restrained"
@@ -383,55 +383,55 @@ def _least_count(columns: Sequence[int], among: int) -> int:
     return least
 
 
-def domatic_exact(q: DominationQuery,
+def domatic_exact(g: Graph, k: int,
                   guards: Guards = DEFAULT_GUARDS) -> SolveResult:
-    """Maximum kTRDP/kTDP class count via backtracking class assignment.
+    """Maximum class count of a kTRDP of g via backtracking class assignment.
 
-    Both variants run the same search (see _domatic_search). Class counts
-    are tried descending from _class_cap; vertex 0 is pinned to class 0 and
-    classes appear in first-use order, so the certificate is deterministic.
-    It is re-checked with is_ktrdp or is_ktdp.
+    It is that of a kTDP too: a vertex outside one class of a kTDP lies in
+    another and has k neighbours there. Class counts are tried descending
+    from _class_cap; vertex 0 is pinned to class 0 and classes appear in
+    first-use order, so the certificate is deterministic. It is re-checked
+    with is_ktrdp.
     """
-    g = q.graph
-    cap = _class_cap(q, guards, "domatic_exact")
-    if g.min_degree < q.k:
+    cap = _class_cap(g, k, guards, "domatic_exact")
+    if g.min_degree < k:
         return SolveResult(False, 0, None)
     nodes = 0
     for d in range(cap, 1, -1):
-        found, searched = next(_domatic_search(g.masks, q.k, d))
+        found, searched = next(_domatic_search(g.masks, k, d))
         nodes += searched
         if found:
-            return SolveResult(True, d, _partition(q, found), nodes)
-    return SolveResult(True, 1, _partition(q, ((1 << g.n) - 1,)), nodes)
+            return SolveResult(True, d, _partition(g, k, found), nodes)
+    return SolveResult(True, 1, _partition(g, k, ((1 << g.n) - 1,)), nodes)
 
 
-def enumerate_domatic_partitions(q: DominationQuery, d: int,
+def enumerate_domatic_partitions(g: Graph, k: int, d: int,
                                  guards: Guards = DEFAULT_GUARDS
                                  ) -> list[tuple[frozenset[int], ...]]:
-    """All d-class partitions whose classes satisfy the variant predicate
-    (classes in first-use order, so label permutations are deduplicated)."""
-    g = q.graph
-    if not 1 <= d <= _class_cap(q, guards, "enumerate_domatic_partitions"):
+    """Every d-class kTRDP of g once, classes in first-use order."""
+    cap = _class_cap(g, k, guards, "enumerate_domatic_partitions")
+    if not 1 <= d <= cap:
         return []
-    return [_partition(q, classes)
-            for classes, _ in _domatic_search(g.masks, q.k, d) if classes]
+    return [_partition(g, k, classes)
+            for classes, _ in _domatic_search(g.masks, k, d) if classes]
 
 
-def _class_cap(q: DominationQuery, guards: Guards, what: str) -> int:
-    """The most classes of a kTDP of q's graph (each has k + 1 vertices or
-    more, and each vertex k neighbours in each), after the domatic_n guard."""
-    _guard(q.graph.n, guards, "domatic_n", what)
-    return min(q.graph.n // (q.k + 1), q.graph.min_degree // q.k)
+def _class_cap(g: Graph, k: int, guards: Guards, what: str) -> int:
+    """The most classes of a kTDP of g (each has k + 1 vertices or more, and
+    each vertex k neighbours in each), after the k and domatic_n checks."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    _guard(g.n, guards, "domatic_n", what)
+    return min(g.n // (k + 1), g.min_degree // k)
 
 
-def _partition(q: DominationQuery,
+def _partition(g: Graph, k: int,
                class_masks: Sequence[int]) -> tuple[frozenset[int], ...]:
     """Class masks as vertex sets, re-checked with the set-form predicate."""
-    g = q.graph
     part = tuple(mask_vertices(m) for m in class_masks)
-    if not (is_ktrdp if q.restrained else is_ktdp)(g, part, q.k):
+    if not is_ktrdp(g, part, k):
         raise RuntimeError(f"domatic search: {[sorted(c) for c in part]} is "
-                           f"not a {'kTRDP' if q.restrained else 'kTDP'}")
+                           "not a kTRDP")
     return part
 
 

@@ -283,7 +283,7 @@ def check_witnesses() -> list[Row]:
             for spec, k, w, verdict, tag in cases]
     # the n = 5 erratum does not sink the claim: two disjoint total
     # dominating sets exist (classes need not be minimum)
-    dres = domatic_exact(DominationQuery(graphs["prism:cycle:5"], 1, TOTAL))
+    dres = domatic_exact(graphs["prism:cycle:5"], 1)
     rows.append(Row("witness:prism-cycle-pair:5|claim-check", "prism:cycle:5",
                     graphs["prism:cycle:5"].n, 1, TOTAL, str(dres.value),
                     ">=2", True, bool(dres.feasible and dres.value >= 2),
@@ -397,7 +397,7 @@ def check_properties(seed: int, random_count: int) -> list[Row]:
             gr = gamma_exact(qr)
             # one search serves both variants; its partition is checked
             # here as a kTDP, and domatic_exact checked it as a kTRDP
-            dr = domatic_exact(qr)
+            dr = domatic_exact(g, k)
 
             def prop(tag: str, ok: bool, solver: str, formula: str,
                      note: str = ""):

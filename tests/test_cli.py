@@ -7,7 +7,7 @@ import pytest
 from domlab import cli
 from domlab.family_spec import family_graph
 from domlab.graphs import complete
-from domlab.predicates import is_ktrds
+from domlab.predicates import is_ktrdp, is_ktrds
 from domlab.solver import (DominationQuery, domatic_exact, gamma_exact,
                            gamma_naive)
 from domlab.verify import CSV_COLUMNS, SweepConfig, run_sweep, write_csv
@@ -56,9 +56,41 @@ def test_gamma_infeasible_exit_2(capsys):
 
 def test_domatic(capsys):
     code, out, _ = run(["domatic", "--family", "complete:6"], capsys)
-    assert code == 0 and "domatic = 3" in out
+    assert code == 0 and out == "domatic = 3  (k=1)\n"
     code, out, _ = run(["domatic", "--family", "cycle:5", "--k", "2"], capsys)
     assert code == 0 and "domatic = 1" in out
+
+
+def test_domatic_certificate_is_a_ktrdp(capsys):
+    code, out, _ = run(["domatic", "--family", "prism:cycle:6",
+                        "--certificate"], capsys)
+    assert code == 0 and out.startswith("domatic = 3  (k=1)\n")
+    classes = re.findall(r"^class (\d+): \{([\d, ]+)\}$", out, re.M)
+    assert [i for i, _ in classes] == ["1", "2", "3"]
+    # the printed classes, 0-based
+    part = [{int(v) - 1 for v in members.split(", ")} for _, members in classes]
+    assert is_ktrdp(family_graph("prism:cycle:6"), part, 1)
+
+
+def test_domatic_infeasible_exit_2(capsys):
+    code, out, _ = run(["domatic", "--family", "cycle:5", "--k", "3"], capsys)
+    assert code == 2
+    assert out == "infeasible: min degree 2 < k=3\n"
+
+
+def test_domatic_takes_no_variant(capsys):
+    # every kTDP is a kTRDP, so there is one domatic number
+    code, out, err = run(["domatic", "--family", "complete:6", "--variant",
+                          "total"], capsys)
+    assert code == 1 and out == ""
+    assert "unrecognized arguments: --variant total" in err
+
+
+def test_domatic_rejects_k_0(capsys):
+    code, out, err = run(["domatic", "--family", "complete:6", "--k", "0"],
+                         capsys)
+    assert code == 1 and out == ""
+    assert "k must be >= 1" in err
 
 
 STATS = re.compile(r"^stats: (nodes|subsets)=(\d+) elapsed=\d+\.\d{3} ms$",
@@ -80,7 +112,7 @@ def test_gamma_stats(capsys, argv, work):
 
 
 def test_domatic_stats(capsys):
-    want = domatic_exact(DominationQuery(complete(6), 1)).nodes_explored
+    want = domatic_exact(complete(6), 1).nodes_explored
     code, out, _ = run(["domatic", "--family", "complete:6", "--stats"],
                        capsys)
     assert code == 0 and "domatic = 3" in out
@@ -109,6 +141,14 @@ def test_gamma_stdin(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO("4 4\n0 1\n1 2\n2 3\n3 0\n"))
     code, out, _ = run(["gamma", "--input", "-", "--k", "1"], capsys)
     assert code == 0 and "gamma = 2" in out
+
+
+def test_gamma_input_file_from_construct(capsys, tmp_path):
+    path = tmp_path / "prism6.edges"
+    code, _, _ = run(["construct", "prism:cycle:6", "-o", str(path)], capsys)
+    assert code == 0
+    code, out, _ = run(["gamma", "--input", str(path), "--k", "2"], capsys)
+    assert code == 0 and "gamma = 8" in out
 
 
 @pytest.mark.parametrize("spec", ["kpartite:2,,2", "bipartite:3,3,",
@@ -221,6 +261,13 @@ def test_verify_rejects_negative_random_count(capsys, flag):
                        capsys)
     assert code == 1
     assert f"argument {flag}" in err and "'-3'" in err
+
+
+def test_verify_rejects_non_integer_random_count(capsys):
+    code, out, err = run(["verify-paper", "--sections", "complete",
+                          "--oracle-random", "abc"], capsys)
+    assert code == 1 and out == ""
+    assert "argument --oracle-random" in err and "'abc'" in err
 
 
 def sweep_csv(**config) -> str:

@@ -28,7 +28,7 @@ def test_graph_from_masks_alone_agrees_in_every_solver():
     assert g == complete(3) and hash(g) == hash(complete(3))
     q = DominationQuery(g, 1, VARIANT_TOTAL)
     assert gamma_exact(q).value == gamma_naive(q).value == 2
-    dres = domatic_exact(q)
+    dres = domatic_exact(g, 1)
     assert dres.value == 1 and dres.certificate == (frozenset({0, 1, 2}),)
 
 

@@ -1,6 +1,9 @@
 """Property-based checks with hypothesis-generated graphs."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
@@ -55,3 +58,31 @@ def test_gamma_bounds(g):
     # total value
     total = gamma_exact(DominationQuery(g, 1, "total"))
     assert total.value <= res.value
+
+
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+
+FAILING_GIVEN = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_failing_given_test_leaves_the_rest_of_the_run(tmp_path):
+    # under the repo's warning filters, hypothesis's failure report must not
+    # turn into an INTERNALERROR that stops every later test
+    (tmp_path / "test_given.py").write_text(FAILING_GIVEN)
+    out = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(PYPROJECT), "--rootdir", str(tmp_path), "test_given.py"],
+        cwd=tmp_path, capture_output=True, text=True).stdout
+    assert "INTERNALERROR" not in out
+    assert "1 failed, 1 passed" in out

@@ -444,6 +444,21 @@ def _first_set_by_combinations(g, k, pred):
     return None
 
 
+def test_naive_raises_when_a_column_hit_fails_the_set_form(monkeypatch):
+    # the empty set (set 0 of the first batch) is no kTDS
+    real = solver.ktds_batch
+
+    def with_empty(*args):
+        total, restr = real(*args)
+        return [m | 1 for m in total], [m | 1 for m in restr]
+
+    monkeypatch.setattr(solver, "ktds_batch", with_empty)
+    for variant in (VARIANT_TOTAL, VARIANT_RESTRAINED):
+        with pytest.raises(RuntimeError, match=r"^gamma_naive: \[\] passes "
+                           "the column predicate but not the set form$"):
+            gamma_naive(DominationQuery(cycle(5), 1, variant))
+
+
 def test_naive_matches_combinations_scan():
     # value, certificate and subset count (the first hit's rank) of
     # gamma_naive and of the per-graph scan, gamma_naive_all, against a
@@ -591,13 +606,11 @@ def test_enumerate_optimal_sets_tests_only_what_gamma_naive_tests(
 
 
 def test_domatic_complete_graphs():
-    # the paper's floor(n/(k+1)) on complete graphs, for both variants
+    # the paper's floor(n/(k+1)) on complete graphs
     for n in range(2, 9):
         for k in range(1, n):
-            want = f_domatic_complete(n, k).value
-            for variant in ("total", "restrained"):
-                res = domatic_exact(DominationQuery(complete(n), k, variant))
-                assert res.value == want, (n, k, variant)
+            res = domatic_exact(complete(n), k)
+            assert res.value == f_domatic_complete(n, k).value, (n, k)
 
 
 def _set_partitions(n):
@@ -623,34 +636,51 @@ def test_domatic_matches_partition_scan():
                 # another, which holds k of its neighbours
                 assert all(is_ktdp(g, p, k) == is_ktrdp(g, p, k)
                            for p in partitions), (g.edges(), k)
-                for variant, pred in (("total", is_ktdp),
-                                      ("restrained", is_ktrdp)):
+                res = domatic_exact(g, k)
+                for pred in (is_ktdp, is_ktrdp):
                     want = max((len(p) for p in partitions
                                 if pred(g, p, k)), default=0)
-                    res = domatic_exact(DominationQuery(g, k, variant))
-                    assert res.value == want, (g.edges(), k, variant)
+                    assert res.value == want, (g.edges(), k, pred.__name__)
                     cases += 1
     assert cases == 832
 
 
 def test_domatic_certificate_is_valid_partition():
     g = complete(7)
-    res = domatic_exact(DominationQuery(g, 1))
+    res = domatic_exact(g, 1)
     assert res.value == 3
-    assert is_ktrdp(g, res.certificate, 1)
-    rest = domatic_exact(DominationQuery(g, 1, "total"))
-    assert is_ktdp(g, rest.certificate, 1)
+    assert is_ktrdp(g, res.certificate, 1) and is_ktdp(g, res.certificate, 1)
 
 
 def test_domatic_one_when_degree_low():
     # C5 with k=2: min degree 2 <= 2k-1, so only the trivial partition
-    res = domatic_exact(DominationQuery(cycle(5), 2))
+    res = domatic_exact(cycle(5), 2)
     assert res.value == 1
+
+
+def test_domatic_rejects_k_below_1():
+    # with k = 0 the class cap would divide by zero; d = 0 is checked too
+    with pytest.raises(ValueError, match=r"^k must be >= 1$"):
+        domatic_exact(complete(4), 0)
+    for d in (0, 2):
+        with pytest.raises(ValueError, match=r"^k must be >= 1$"):
+            enumerate_domatic_partitions(complete(4), 0, d)
+
+
+def test_domatic_raises_on_a_search_answer_that_is_no_ktrdp(monkeypatch):
+    # vertex 3 in no class, so the classes do not cover V
+    def no_partition(masks, k, d):
+        yield (0b011, 0b100), 1
+
+    monkeypatch.setattr(solver, "_domatic_search", no_partition)
+    with pytest.raises(RuntimeError, match=r"^domatic search: \[\[0, 1\], "
+                       r"\[2\]\] is not a kTRDP$"):
+        domatic_exact(complete(4), 1)
 
 
 def test_enumerate_domatic_partitions_complete4():
     g = complete(4)
-    parts = enumerate_domatic_partitions(DominationQuery(g, 1), 2)
+    parts = enumerate_domatic_partitions(g, 1, 2)
     # pairs of disjoint 2-sets; 3 ways to split 4 vertices into two pairs
     assert len(parts) == 3
     for p in parts:
@@ -659,12 +689,12 @@ def test_enumerate_domatic_partitions_complete4():
 
 def test_enumerate_domatic_partitions_outside_range():
     # d = 1 is V itself; past min degree // k no class count is possible
-    k5 = DominationQuery(complete(5), 1)
-    assert [len(enumerate_domatic_partitions(k5, d)) for d in range(6)] == \
-        [0, 1, 10, 0, 0, 0]
-    c5 = DominationQuery(cycle(5), 2)
-    assert [len(enumerate_domatic_partitions(c5, d)) for d in range(3)] == \
-        [0, 1, 0]
+    k5 = complete(5)
+    assert [len(enumerate_domatic_partitions(k5, 1, d)) for d in range(6)] \
+        == [0, 1, 10, 0, 0, 0]
+    c5 = cycle(5)
+    assert [len(enumerate_domatic_partitions(c5, 2, d)) for d in range(3)] \
+        == [0, 1, 0]
 
 
 def test_enumerate_domatic_partitions_past_the_cap(monkeypatch):
@@ -674,8 +704,7 @@ def test_enumerate_domatic_partitions_past_the_cap(monkeypatch):
         raise AssertionError("the domatic search ran")
 
     monkeypatch.setattr(solver, "_domatic_search", no_search)
-    assert enumerate_domatic_partitions(
-        DominationQuery(complete(12), 1), 7) == []
+    assert enumerate_domatic_partitions(complete(12), 1, 7) == []
 
 
 # domatic_exact's search nodes summed over all_graphs(n) for each (n, k)
@@ -692,7 +721,7 @@ def test_domatic_node_pins():
             for k in (1, 2):
                 if g.min_degree < k:
                     continue
-                nodes = domatic_exact(DominationQuery(g, k)).nodes_explored
+                nodes = domatic_exact(g, k).nodes_explored
                 if nodes:
                     got[n, k] = got.get((n, k), 0) + nodes
                 cases += 1
@@ -707,16 +736,14 @@ def test_domatic_certificate_is_first_enumerated_partition():
     for n in range(1, 8):
         for g in all_graphs(n):
             for k in (1, 2):
-                for variant in (VARIANT_TOTAL, VARIANT_RESTRAINED):
-                    q = DominationQuery(g, k, variant)
-                    res = domatic_exact(q)
-                    if not res.feasible or res.value < 2:
-                        continue
-                    assert res.certificate == \
-                        enumerate_domatic_partitions(q, res.value)[0], \
-                        (g.edges(), k, variant)
-                    cases += 1
-    assert cases == 1_158
+                res = domatic_exact(g, k)
+                if not res.feasible or res.value < 2:
+                    continue
+                assert res.certificate == \
+                    enumerate_domatic_partitions(g, k, res.value)[0], \
+                    (g.edges(), k)
+                cases += 1
+    assert cases == 579
 
 
 def test_t0_exact_matches_gamma():

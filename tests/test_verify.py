@@ -2,6 +2,8 @@
 the benchmark harness reads on domlab and patches on domlab.verify."""
 
 import ast
+import re
+from dataclasses import replace
 from pathlib import Path
 
 import domlab
@@ -18,9 +20,9 @@ def test_properties_run_one_domatic_search_per_graph_and_k(monkeypatch):
     calls = []
     real = verify.domatic_exact
 
-    def counting(q, *args, **kw):
-        calls.append((q.graph, q.k))
-        return real(q, *args, **kw)
+    def counting(g, k, *args, **kw):
+        calls.append((g, k))
+        return real(g, k, *args, **kw)
 
     monkeypatch.setattr(verify, "domatic_exact", counting)
     verify.check_properties(7, 12)
@@ -74,6 +76,51 @@ def test_prism_oracle_disagreement_keeps_the_row_note(monkeypatch):
     # only the kernel rows are confirmed, not the confirm rows themselves
     assert "confirmed" not in confirm.note
     assert not any(i.endswith("|oracle-confirm|oracle-confirm") for i in rows)
+
+
+def _kernel_one_too_high(monkeypatch):
+    real = verify.gamma_exact
+
+    def high(q, *args, **kw):
+        res = real(q, *args, **kw)
+        return replace(res, value=res.value + 1) if res.feasible else res
+
+    monkeypatch.setattr(verify, "gamma_exact", high)
+
+
+def test_oracle_rows_report_a_disagreeing_kernel(monkeypatch):
+    bucket = re.compile(r"^oracle:exhaustive:n=\d\|k=\d\|[a-z-]+$")
+    agree = {r.instance: int(r.solver.split()[0])
+             for r in verify.check_oracle(7, 4) if bucket.match(r.instance)}
+    _kernel_one_too_high(monkeypatch)
+    rows = verify.check_oracle(7, 4)
+    buckets = {r.instance: r for r in rows if bucket.match(r.instance)}
+    assert buckets.keys() == agree.keys() and len(agree) == 36
+    for inst, checked in agree.items():
+        graph_rows = [r for r in rows
+                      if r.instance.startswith(inst + "|edges=[")]
+        assert len(graph_rows) == checked, inst
+        assert not any(r.match for r in graph_rows), inst
+        assert (buckets[inst].solver, buckets[inst].match) == (
+            (f"{checked} mismatches", False) if checked else
+            ("0 agree", True)), inst
+    assert sum(1 for c in agree.values() if c) == 30
+    assert sum(agree.values()) == 3_606
+    random_rows = [r for r in rows if r.instance.startswith("oracle:random:")]
+    assert len(random_rows) == 24
+    # an infeasible pair has no value to raise
+    assert [r.instance for r in random_rows
+            if r.match != (r.formula == "infeasible")] == []
+    assert sum(1 for r in random_rows if not r.match) == 20
+
+
+def test_multipartite_rows_report_a_disagreeing_kernel(monkeypatch):
+    _kernel_one_too_high(monkeypatch)
+    rows = verify.check_multipartite()
+    assert len(rows) == 308
+    assert [r.instance for r in rows
+            if not r.instance.endswith("|t0-gamma-agree") or r.match
+            or r.note != "t0 enumeration disagrees with solver"] == []
 
 
 def test_regular_window_rows_are_not_allowlisted():

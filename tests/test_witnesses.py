@@ -1,7 +1,8 @@
 import pytest
 
 from domlab import formulas as F
-from domlab.graphs import complement, complementary_prism, cycle, path
+from domlab.graphs import (complement, complementary_prism, complete,
+                           cycle, path)
 from domlab.witnesses import (validate_witness, witness_complement_cycle,
                               witness_complement_path, witness_cycle_trds,
                               witness_prism_cycle_domatic_pair,
@@ -39,7 +40,8 @@ def test_complement_path_witness(n, k):
     assert sizes_are(w, F.f_complement_path(n, k).value)
 
 
-@pytest.mark.parametrize("n", range(5, 13))
+# past the sweep's n <= 12, so every branch of each construction runs
+@pytest.mark.parametrize("n", range(5, 41))
 def test_prism_path_witness(n):
     w = witness_prism_path_trds(n)
     g = complementary_prism(path(n))
@@ -53,7 +55,8 @@ KNOWN_BAD = {5: ["S: vertex 5̄ has 0 neighbors in S, needs 1",
                  "S': vertex 1̄ has 0 neighbors in S, needs 1"]}
 
 
-@pytest.mark.parametrize("n", range(4, 13))
+# n = 1 (mod 4) takes its general branch from n = 13, past the sweep's 12
+@pytest.mark.parametrize("n", range(4, 41))
 def test_prism_cycle_domatic_pair(n):
     w = witness_prism_cycle_domatic_pair(n)
     g = complementary_prism(cycle(n))
@@ -64,6 +67,13 @@ def test_prism_cycle_domatic_pair(n):
 def test_validate_reports_failing_vertex():
     failures = validate_witness(cycle(5), (frozenset({0, 1, 2, 3}),), 1)
     assert failures and "outside" in failures[0]
+
+
+def test_validate_reports_overlapping_pair():
+    # each set is a total dominating set of K4, but they share 2 and 3
+    # (1-based)
+    pair = (frozenset({0, 1, 2}), frozenset({1, 2, 3}))
+    assert validate_witness(complete(4), pair, 1) == ["sets overlap on [2, 3]"]
 
 
 def test_validate_reports_vertex_outside_the_graph():
