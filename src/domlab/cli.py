@@ -11,22 +11,14 @@ import sys
 
 from .family_spec import FamilySpecError, family_graph
 from .graphs import Graph, read_edge_list, write_edge_list
-from .solver import (DominationQuery, Guards, GuardExceeded, _timed,
-                     active_backend, domatic_exact, gamma_exact, gamma_naive)
+from .solver import (VARIANT_RESTRAINED, VARIANT_TOTAL, DominationQuery,
+                     Guards, GuardExceeded, _timed, domatic_exact, gamma_exact,
+                     gamma_naive)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_DISCREPANCY = 3
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on bad usage; the contract reserves 2 for
-    # infeasible instances, so remap to 1
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
 
 
 def _add_query_args(p: argparse.ArgumentParser) -> None:
@@ -62,14 +54,16 @@ def _fmt_set(s) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="domlab",
-                     description="k-tuple total (restrained) domination toolkit")
+    parser = argparse.ArgumentParser(
+        prog="domlab",
+        description="k-tuple total (restrained) domination toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gamma = sub.add_parser("gamma", help="domination number")
+    p_gamma.set_defaults(run=_cmd_gamma)
     _add_query_args(p_gamma)
-    p_gamma.add_argument("--variant", default="restrained",
-                         choices=["restrained", "total-restrained", "total"])
+    p_gamma.add_argument("--variant", default=VARIANT_RESTRAINED,
+                         choices=[VARIANT_RESTRAINED, VARIANT_TOTAL])
     p_gamma.add_argument("--certificate", action="store_true",
                          help="print one optimal set (1-based); with --naive, "
                               "the first in subset order")
@@ -81,6 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # one number: every kTDP is a kTRDP, so domatic takes no variant
     p_dom = sub.add_parser("domatic", help="domatic number")
+    p_dom.set_defaults(run=_cmd_domatic)
     _add_query_args(p_dom)
     p_dom.add_argument("--certificate", action="store_true",
                        help="print one maximum partition (1-based)")
@@ -88,11 +83,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print the search nodes and the elapsed time")
 
     p_con = sub.add_parser("construct", help="emit a family as an edge list")
+    p_con.set_defaults(run=_cmd_construct)
     p_con.add_argument("family", help="family spec, e.g. complement:path:9")
     p_con.add_argument("-o", "--out", help="output file (default stdout)")
 
     p_ver = sub.add_parser("verify-paper",
                            help="run the verification sweep and write a report")
+    p_ver.set_defaults(run=_cmd_verify)
     p_ver.add_argument("--sections", nargs="+",
                        help="subset of sweep sections (default: all)")
     p_ver.add_argument("--format", default="csv", choices=["csv", "markdown"])
@@ -119,8 +116,7 @@ def _cmd_gamma(args) -> int:
     if not res.feasible:
         print(f"infeasible: min degree {g.min_degree} < k={args.k}")
         return EXIT_INFEASIBLE
-    print(f"gamma = {res.value}  (k={q.k}, variant={q.variant}, "
-          f"backend={'naive' if args.naive else active_backend()})")
+    print(f"gamma = {res.value}  (k={q.k}, variant={q.variant})")
     if args.certificate:
         print(f"certificate: {_fmt_set(res.certificate)}")
     _print_stats(args, "subsets" if args.naive else "nodes", res, ms)
@@ -185,15 +181,11 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+        # argparse exits 2 on bad usage, which the exit codes reserve for
+        # infeasible instances; --help exits 0
+        return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        if args.command == "gamma":
-            return _cmd_gamma(args)
-        if args.command == "domatic":
-            return _cmd_domatic(args)
-        if args.command == "construct":
-            return _cmd_construct(args)
-        return _cmd_verify(args)
+        return args.run(args)
     except (FamilySpecError, GuardExceeded, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -49,14 +49,6 @@ def active_backend() -> str:
     return "pure-python"
 
 
-def normalize_variant(variant: str) -> str:
-    if variant in (VARIANT_TOTAL,):
-        return VARIANT_TOTAL
-    if variant in (VARIANT_RESTRAINED, "restrained"):
-        return VARIANT_RESTRAINED
-    raise ValueError(f"unknown variant {variant!r}")
-
-
 @dataclass(frozen=True)
 class DominationQuery:
     graph: Graph
@@ -66,7 +58,8 @@ class DominationQuery:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        object.__setattr__(self, "variant", normalize_variant(self.variant))
+        if self.variant not in (VARIANT_TOTAL, VARIANT_RESTRAINED):
+            raise ValueError(f"unknown variant {self.variant!r}")
 
     @property
     def restrained(self) -> bool:

@@ -179,7 +179,8 @@ def validate_witness(g: Graph, w: tuple[frozenset[int], ...],
     a, b = w
     out = []
     if a & b:
-        out.append(f"sets overlap on {sorted(v + 1 for v in a & b)}")
+        shared = ", ".join(map(g.label, sorted(a & b)))
+        out.append(f"sets overlap on [{shared}]")
     for tag, s in (("S", a), ("S'", b)):
         out.extend(f"{tag}: {msg}" for msg in failures(g, s, k, False))
     return out

@@ -21,9 +21,30 @@ def run(argv, capsys):
 
 def test_gamma_family(capsys):
     code, out, _ = run(["gamma", "--family", "prism:cycle:6", "--k", "2",
-                        "--variant", "restrained"], capsys)
+                        "--variant", "total-restrained"], capsys)
     assert code == 0
     assert "gamma = 8" in out
+
+
+def test_gamma_line_names_k_and_variant(capsys):
+    code, out, err = run(["gamma", "--family", "cycle:6"], capsys)
+    assert code == 0 and err == ""
+    assert out == "gamma = 4  (k=1, variant=total-restrained)\n"
+
+
+def test_gamma_refuses_restrained_alone(capsys):
+    # "restrained" alone names another parameter; the variants are the
+    # report's two names
+    code, out, err = run(["gamma", "--family", "cycle:6", "--variant",
+                          "restrained"], capsys)
+    assert code == 1 and out == ""
+    assert "invalid choice: 'restrained'" in err
+
+
+def test_help_exits_0(capsys):
+    code, out, err = run(["--help"], capsys)
+    assert code == 0 and err == ""
+    assert out.startswith("usage: domlab ")
 
 
 def test_gamma_certificate_one_based(capsys):

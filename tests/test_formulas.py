@@ -24,6 +24,7 @@ def test_complement_path_cases():
     assert F.f_complement_path(6, 2).value == 6
     assert F.f_complement_path(9, 3).value == 5   # 2k+3 <= n <= 3k
     assert F.f_complement_path(7, 2).value == 3   # n >= 3k+1
+    assert not F.f_complement_path(4, 2).applicable
 
 
 def test_cycle_residues():
@@ -38,6 +39,7 @@ def test_bipartite_symmetry():
     assert F.f_complete_bipartite(5, 3, 1).value == 2
     assert F.f_complete_bipartite(3, 5, 1).value == 2
     assert F.f_complete_bipartite(5, 3, 2).value == 8  # m < 2k
+    assert not F.f_complete_bipartite(1, 3, 2).applicable
 
 
 def test_multipartite_interval():
@@ -63,12 +65,15 @@ def test_lower_edges_bound():
     v = F.f_lower_edges(8, 10, 1)
     assert v.lower == Fraction(2)
     assert v.brackets(2) and not v.brackets(1)
+    assert not F.f_lower_edges(8, 10, 0).applicable
 
 
 def test_domatic_formulas():
     assert F.f_domatic_complete(6, 1).value == 3
     assert F.f_domatic_caps(10, 2).upper == 3
     assert F.f_domatic_caps(10, 2, bipartite=True).upper == 2
+    assert not F.f_domatic_complete(3, 3).applicable
+    assert not F.f_domatic_caps(10, 0).applicable
 
 
 def test_prism_cycle_formula():
@@ -100,6 +105,7 @@ def test_sandwich():
     assert v.brackets(8)
     k1 = F.f_prism_sandwich(0, 0, 3, 4, 1)
     assert k1.render() == "<=7" and k1.upper == 7
+    assert not F.f_prism_sandwich(0, 0, 3, 4, 0).applicable
 
 
 def test_kjoin():

@@ -42,6 +42,18 @@ def test_build_graph_rejects_out_of_range():
         build_graph(3, [(0, 3)])
 
 
+@pytest.mark.parametrize("build, args, message", [
+    (build_graph, (-1, []), "vertex count must be nonnegative, got -1"),
+    (complete, (0,), "complete(n) needs n >= 1"),
+    (path, (0,), "path(n) needs n >= 1"),
+    (complete_bipartite, (0, 2), "complete_bipartite needs both sides >= 1"),
+])
+def test_builders_reject_an_empty_order(build, args, message):
+    with pytest.raises(ValueError) as exc:
+        build(*args)
+    assert str(exc.value) == message
+
+
 def test_build_graph_collapses_duplicates():
     g = build_graph(3, [(0, 1), (1, 0), (0, 1)])
     assert g.num_edges == 1
@@ -152,6 +164,7 @@ def test_read_edge_list_comments_and_errors():
     ("3 1\n0 a\n", "bad edge line: '0 a'"),
     ("3 1\n0 1 2\n", "bad edge line: '0 1 2'"),
     ("3 2\n0 1\n1 0\n", "repeated edge line: '1 0'"),
+    ("# a comment\n\n  # another\n", "empty edge-list input"),
 ])
 def test_read_edge_list_names_bad_line(text, message):
     with pytest.raises(ValueError) as exc:

@@ -40,7 +40,7 @@ def test_gamma_on_cycles():
 def test_gamma_total_vs_restrained_monotone():
     for g in (cycle(7), complete_bipartite(3, 4), complementary_prism(cycle(4))):
         t = gamma_exact(DominationQuery(g, 1, "total")).value
-        r = gamma_exact(DominationQuery(g, 1, "restrained")).value
+        r = gamma_exact(DominationQuery(g, 1, "total-restrained")).value
         assert t <= r
 
 
@@ -49,7 +49,7 @@ def test_gamma_infeasible_low_degree():
     assert not res.feasible and res.value is None
 
 
-def test_certificate_is_lex_smallest():
+def test_certificate_is_an_optimal_set():
     # the oracle's certificate is the first optimal set; the kernel's is one
     # of the optimal sets
     q = DominationQuery(complete(6), 1)
@@ -128,7 +128,7 @@ def _certificate_cases_to_seven():
                 yield g, k
 
 
-def test_kernel_certificate_is_first_optimal_set():
+def test_kernel_certificate_is_an_optimal_set():
     # soundness of every prune: the kernel finds an optimal set of the
     # exhaustive scan, and the oracle the first one
     cases = 0
@@ -214,7 +214,7 @@ def _certificate_cases_past_seven():
                 yield g, k
 
 
-def test_kernel_certificate_is_first_optimal_set_past_seven():
+def test_kernel_certificate_is_an_optimal_set_past_seven():
     # the same check on graphs larger than all_graphs' lists
     cases = 0
     for g, k in _certificate_cases_past_seven():
@@ -426,7 +426,7 @@ def test_naive_certificate_is_valid_and_minimum_sized():
             if g.min_degree < k:
                 continue
             for variant, pred in (("total", is_ktds),
-                                  ("restrained", is_ktrds)):
+                                  ("total-restrained", is_ktrds)):
                 res = gamma_naive(DominationQuery(g, k, variant))
                 assert res.feasible and len(res.certificate) == res.value
                 assert pred(g, res.certificate, k)
@@ -667,6 +667,11 @@ def test_domatic_rejects_k_below_1():
             enumerate_domatic_partitions(complete(4), 0, d)
 
 
+def test_gamma_naive_all_rejects_kmax_below_1():
+    with pytest.raises(ValueError, match=r"^kmax must be >= 1$"):
+        gamma_naive_all(cycle(4), 0)
+
+
 def test_domatic_raises_on_a_search_answer_that_is_no_ktrdp(monkeypatch):
     # vertex 3 in no class, so the classes do not cover V
     def no_partition(masks, k, d):
@@ -856,9 +861,12 @@ def test_guards_env_rejects_bad_values(monkeypatch, value):
 
 
 def test_variant_normalization():
-    q = DominationQuery(cycle(4), 1, "restrained")
-    assert q.variant == "total-restrained"
-    with pytest.raises(ValueError):
-        DominationQuery(cycle(4), 1, "bogus")
+    # the query takes the report's two names and nothing else: "restrained"
+    # alone names another parameter
+    assert DominationQuery(cycle(4), 1, "total-restrained").restrained
+    assert not DominationQuery(cycle(4), 1, "total").restrained
+    for bad in ("restrained", "bogus"):
+        with pytest.raises(ValueError, match=f"^unknown variant '{bad}'$"):
+            DominationQuery(cycle(4), 1, bad)
     with pytest.raises(ValueError):
         DominationQuery(cycle(4), 0)

@@ -76,6 +76,14 @@ def test_validate_reports_overlapping_pair():
     assert validate_witness(complete(4), pair, 1) == ["sets overlap on [2, 3]"]
 
 
+def test_validate_names_overlap_by_vertex_label():
+    # vertex 9 of the C6 prism is 4-bar, as in the other messages
+    pair = (frozenset({0, 3, 6, 9}), frozenset({1, 4, 9, 10}))
+    out = validate_witness(complementary_prism(cycle(6)), pair, 1)
+    assert out[0] == "sets overlap on [4̄]"
+    assert "S': vertex 4̄ has 0 neighbors in S, needs 1" in out
+
+
 def test_validate_reports_vertex_outside_the_graph():
     assert validate_witness(cycle(5), (frozenset({0, 5, 7}),), 1) == \
         ["vertices outside 0..4: [5, 7]"]
@@ -98,3 +106,9 @@ def test_preconditions():
         witness_prism_path_trds(4)
     with pytest.raises(ValueError):
         witness_complement_cycle(4, 2)
+    with pytest.raises(ValueError, match=r"^witness_complement_path needs "
+                                         r"n >= k\+3 >= 4$"):
+        witness_complement_path(4, 2)
+    with pytest.raises(ValueError, match="^witness_prism_cycle_domatic_pair "
+                                         "needs n >= 4$"):
+        witness_prism_cycle_domatic_pair(3)
