@@ -225,8 +225,7 @@ def test_kernel_certificate_is_an_optimal_set_past_seven():
 
 
 # values and certificates (the optimal sets the kernel finds) of two deep
-# prisms at k = 1 and k = 2, the same for both variants; the node ceiling is
-# the machine-independent check on the kernel's speed
+# prisms at k = 1 and k = 2, the same for both variants
 DEEP_PRISMS = {
     ("prism:cycle:16", 1): (9, (0, 1, 4, 5, 8, 11, 12, 24, 30)),
     ("prism:path:20", 1): (11, (1, 2, 5, 6, 9, 10, 14, 15, 18, 32, 38)),
@@ -234,18 +233,92 @@ DEEP_PRISMS = {
     ("prism:path:20", 2): (22, (*range(21), 39)),
 }
 
+# the nodes of each DEEP_PRISMS solve alone, total and restrained: the
+# machine-independent check on the kernel's speed, and a check on every
+# search decision, since a vertex loop that skips or repeats a vertex moves
+# them
+DEEP_PRISM_NODES = {
+    ("prism:cycle:16", 1): (211, 211), ("prism:path:20", 1): (334, 334),
+    ("prism:cycle:16", 2): (277, 3), ("prism:path:20", 2): (26, 2),
+}
+
 
 @pytest.mark.parametrize("variant", [VARIANT_TOTAL, VARIANT_RESTRAINED])
 @pytest.mark.parametrize("family,k", sorted(DEEP_PRISMS), ids=[
     family if k == 1 else f"{family}-k{k}" for family, k in sorted(DEEP_PRISMS)])
-def test_deep_prism_solves_under_node_ceiling(family, k, variant):
+def test_deep_prism_solves_under_node_ceiling(family, k, variant,
+                                              monkeypatch):
+    # forget the last total solve, so the restrained one runs alone
+    monkeypatch.setattr(solver, "_last_total", (None, 0, 0, 0))
     g = family_graph(family)
     res = gamma_exact(DominationQuery(g, k, variant), Guards(gamma_n=40))
     assert (res.value, tuple(sorted(res.certificate))) == \
         DEEP_PRISMS[family, k]
     assert (is_ktrds if variant == VARIANT_RESTRAINED else is_ktds)(
         g, res.certificate, k)
-    assert res.nodes_explored <= 10_000
+    assert res.nodes_explored == \
+        DEEP_PRISM_NODES[family, k][variant == VARIANT_RESTRAINED]
+
+
+# (n, p, k) of twelve seeded G(n, p) with 17-30 vertices, so their vertex
+# masks span three or four bytes
+WIDE_SHAPES = ((17, 0.2, 1), (18, 0.25, 2), (19, 0.35, 3), (20, 0.15, 1),
+               (21, 0.25, 2), (22, 0.3, 3), (24, 0.15, 1), (25, 0.2, 2),
+               (26, 0.3, 3), (27, 0.12, 1), (29, 0.2, 2), (30, 0.25, 3))
+
+# gamma_exact's value, nodes and certificate on each WIDE_SHAPES graph
+# alone (t = total, r = total-restrained), 4,731 nodes in all. The kernel
+# reads the deficient vertices a byte of the mask at a time, and these
+# searches reach deficient sets whose low byte is empty, so a slip at a
+# byte boundary moves a node count or a certificate here
+WIDE_GRAPH_PINS = {
+    (17, 1, "t"): (5, 9, (0, 4, 5, 6, 16)),
+    (17, 1, "r"): (8, 18, (0, 4, 5, 6, 9, 11, 12, 16)),
+    (18, 2, "t"): (8, 12, (0, 2, 4, 5, 8, 10, 11, 15)),
+    (18, 2, "r"): (12, 23, (0, 1, 2, 4, 5, 7, 8, 11, 13, 14, 15, 16)),
+    (19, 3, "t"): (11, 45, (0, 1, 2, 5, 6, 7, 8, 9, 10, 14, 16)),
+    (19, 3, "r"): (19, 5, tuple(range(19))),
+    (20, 1, "t"): (9, 36, (0, 1, 3, 5, 6, 7, 9, 10, 13)),
+    (20, 1, "r"): (13, 28, (0, 1, 2, 3, 5, 7, 10, 11, 13, 15, 16, 17, 19)),
+    (21, 2, "t"): (8, 58, (2, 3, 8, 9, 10, 11, 13, 15)),
+    (21, 2, "r"): (12, 36, (0, 1, 4, 5, 8, 9, 11, 12, 15, 16, 18, 20)),
+    (22, 3, "t"): (11, 437, (0, 2, 3, 5, 8, 10, 11, 14, 17, 18, 21)),
+    (22, 3, "r"): (13, 116, (0, 2, 3, 8, 9, 11, 12, 13, 14, 16, 18, 19,
+                             20)),
+    (24, 1, "t"): (7, 47, (3, 5, 7, 13, 15, 18, 20)),
+    (24, 1, "r"): (9, 48, (3, 5, 7, 11, 12, 13, 15, 18, 20)),
+    (25, 2, "t"): (12, 65, (0, 1, 2, 6, 7, 9, 10, 12, 15, 22, 23, 24)),
+    (25, 2, "r"): (18, 42, (0, 1, 2, 3, 5, 6, 7, 9, 11, 13, 14, 15, 16, 17,
+                            20, 21, 22, 23)),
+    (26, 3, "t"): (11, 1_268, (0, 2, 5, 6, 7, 13, 15, 17, 20, 21, 24)),
+    (26, 3, "r"): (11, 333, (0, 3, 5, 6, 10, 11, 13, 16, 17, 20, 21)),
+    (27, 1, "t"): (9, 105, (0, 1, 4, 7, 8, 16, 17, 23, 26)),
+    (27, 1, "r"): (11, 62, (0, 7, 8, 10, 12, 16, 17, 19, 20, 23, 26)),
+    (29, 2, "t"): (11, 58, (3, 6, 9, 11, 14, 16, 17, 19, 21, 25, 27)),
+    (29, 2, "r"): (15, 69, (1, 3, 4, 6, 9, 10, 11, 13, 14, 16, 17, 18, 22,
+                            26, 28)),
+    (30, 3, "t"): (12, 1_377, (2, 4, 5, 6, 8, 9, 11, 13, 19, 23, 27, 28)),
+    (30, 3, "r"): (15, 434, (2, 3, 4, 6, 8, 9, 11, 16, 17, 18, 19, 21, 24,
+                            26, 28)),
+}
+
+
+def test_wide_graph_solves_pinned(monkeypatch):
+    rng = random.Random(20230417)
+    got = {}
+    for n, p, k in WIDE_SHAPES:
+        g = random_graph(rng, n, p)
+        while g.min_degree < k:
+            g = random_graph(rng, n, p)
+        for v, variant in (("t", VARIANT_TOTAL), ("r", VARIANT_RESTRAINED)):
+            monkeypatch.setattr(solver, "_last_total", (None, 0, 0, 0))
+            res = gamma_exact(DominationQuery(g, k, variant),
+                              Guards(gamma_n=30))
+            assert (is_ktrds if v == "r" else is_ktds)(g, res.certificate, k)
+            got[n, k, v] = (res.value, res.nodes_explored,
+                            tuple(sorted(res.certificate)))
+    assert got == WIDE_GRAPH_PINS
+    assert sum(nodes for _, nodes, _ in got.values()) == 4_731
 
 
 def test_restrained_after_total_is_the_standalone_solve(monkeypatch):
