@@ -13,7 +13,7 @@ from .graphs import (Graph, build_graph, complement, complementary_prism,
                      complete, complete_bipartite, complete_multipartite,
                      corona_k1, cycle, k_join, path, read_edge_list,
                      write_edge_list)
-from .predicates import is_ktdp, is_ktds, is_ktrdp, is_ktrds
+from .predicates import is_ktds, is_ktrdp, is_ktrds
 from .solver import (DominationQuery, Guards, GuardExceeded, SolveResult,
                      active_backend, domatic_exact, enumerate_domatic_partitions,
                      enumerate_optimal_sets, gamma_exact, gamma_naive,
@@ -25,8 +25,8 @@ __all__ = [
     "FamilySpecError", "family_graph", "FormulaVerdict", "Graph",
     "build_graph", "complement", "complementary_prism", "complete",
     "complete_bipartite", "complete_multipartite", "corona_k1", "cycle",
-    "k_join", "path", "read_edge_list", "write_edge_list", "is_ktdp",
-    "is_ktds", "is_ktrdp", "is_ktrds", "DominationQuery", "Guards",
+    "k_join", "path", "read_edge_list", "write_edge_list", "is_ktds",
+    "is_ktrdp", "is_ktrds", "DominationQuery", "Guards",
     "GuardExceeded", "SolveResult", "active_backend", "domatic_exact",
     "enumerate_domatic_partitions", "enumerate_optimal_sets", "gamma_exact",
     "gamma_naive", "gamma_naive_all", "t0_exact", "Report", "SweepConfig",

@@ -111,21 +111,13 @@ def ktds_batch(masks: Sequence[int], cols: Sequence[int], full: int,
     return out[0], out[1] if restrained else []
 
 
-def _is_partition_of(g: Graph, partition: Sequence[Iterable[int]], k: int,
-                     restrained: bool) -> bool:
+def is_ktrdp(g: Graph, partition: Sequence[Iterable[int]], k: int) -> bool:
+    """True iff the sets are disjoint, cover V(g), and each is a kTRDS.
+    Each class is tested as a kTDS, which suffices here: a vertex outside
+    one class lies in another, which holds k of its neighbours."""
     masks = [_mask(g, p) for p in partition]
     # the classes cover V, and their sizes add up to n only if disjoint
     if (sum(m.bit_count() for m in masks) != g.n
             or reduce(or_, masks, 0) != (1 << g.n) - 1):
         return False
-    return not any(failures(g, bit_indices(m), k, restrained) for m in masks)
-
-
-def is_ktrdp(g: Graph, partition: Sequence[Iterable[int]], k: int) -> bool:
-    """True iff the sets are pairwise disjoint, cover V(g), and each is a kTRDS."""
-    return _is_partition_of(g, partition, k, True)
-
-
-def is_ktdp(g: Graph, partition: Sequence[Iterable[int]], k: int) -> bool:
-    """Domatic-partition predicate for the non-restrained (total) variant."""
-    return _is_partition_of(g, partition, k, False)
+    return not any(failures(g, bit_indices(m), k, False) for m in masks)

@@ -482,7 +482,12 @@ def _gamma_search(masks: Sequence[int], k: int, restrained: bool,
     minimum size only skips levels that fail and changes no value or
     certificate.
     A branch dies when a vertex lacks more than b (plane k-1-b of cov is
-    not full) or has fewer than k neighbours outside X. Once X is not empty
+    not full); include tests that, also at each level's root. Every vertex
+    keeps k neighbours outside X, so best >= k and the branch loop,
+    range(best - k + 1), always runs at least once: the minimum degree is
+    at least k at the root, a covered vertex has k neighbours in S, and a
+    branch on v excludes at most best - k vertices, where every deficient
+    vertex has at least best neighbours outside X. Once X is not empty
     and D > b, it dies when deficient vertices with pairwise disjoint
     undecided neighbourhoods need more than b inclusions (packing). A node
     runs the packing test before it chooses v: both are pure, so their
@@ -619,9 +624,9 @@ def _gamma_search(masks: Sequence[int], k: int, restrained: bool,
             # every vertex once s + k exceeds the largest degree
             risky = (full if ranked[0] < s + k else
                      sum(1 << v for v, d in enumerate(deg) if d < s + k))
-        b = s - m0
-        if b >= k or (cov0 >> (k - 1 - b) * n) & full == full:
-            w = search(S0, 0, b, cov0)
+        st = include(S0, 0, s - m0, cov0, 0)
+        if st:
+            w = search(st[0], 0, st[1], st[2])
             if w >= 0:
                 return (s, w, nodes)
         s = (_next_level(masks, deg, ranked, reach, k, s) if s == start

@@ -1,3 +1,4 @@
+import csv
 import io
 import re
 import sys
@@ -205,6 +206,22 @@ def test_verify_prisms_reports_refutations(capsys, tmp_path):
     assert code == 3
     assert "DISCREPANCY" in err
     assert "confirmed by independent oracle" in err
+
+
+def test_verify_timings_fill_runtime_of_solved_rows_only(capsys):
+    # a complete row times its gamma_exact solve; a witness row solves none
+    argv = ["verify-paper", "--sections", "complete", "witnesses"]
+    code, timed, _ = run(argv + ["--timings"], capsys)
+    assert code == 0
+    _, plain, _ = run(argv, capsys)
+    timed, plain = (list(csv.reader(io.StringIO(out)))
+                    for out in (timed, plain))
+    ids = [row[0].split(":")[0] for row in timed[1:]]
+    assert ids == ["complete"] * 66 + ["witness"] * 103
+    assert all(re.fullmatch(r"\d+\.\d", row[-1]) for row in timed[1:67])
+    assert all(row[-1] == "" for row in timed[67:] + plain[1:])
+    assert len(plain) == 170
+    assert timed[:1] + [row[:-1] + [""] for row in timed[1:]] == plain
 
 
 def test_verify_unknown_section(capsys):

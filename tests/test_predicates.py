@@ -1,8 +1,8 @@
 import pytest
 
 from domlab.graphs import build_graph, complementary_prism, complete, cycle
-from domlab.predicates import (failures, is_ktdp, is_ktds, is_ktrdp,
-                               is_ktrds, ktds_batch)
+from domlab.predicates import (failures, is_ktds, is_ktrdp, is_ktrds,
+                               ktds_batch)
 from domlab.smallgraphs import all_graphs
 from domlab.solver import subset_levels
 
@@ -38,10 +38,9 @@ def test_whole_vertex_set_is_always_ktrds_when_degrees_allow():
 def test_partition_predicates():
     g = complete(6)
     part = [{0, 1}, {2, 3}, {4, 5}]
-    assert is_ktdp(g, part, 1)
     assert is_ktrdp(g, part, 1)
-    assert not is_ktdp(g, [{0, 1}, {2, 3}], 1)  # not covering
-    assert not is_ktdp(g, [{0, 1}, {1, 2, 3, 4, 5}], 1)  # overlap
+    assert not is_ktrdp(g, [{0, 1}, {2, 3}], 1)  # not covering
+    assert not is_ktrdp(g, [{0, 1}, {1, 2, 3, 4, 5}], 1)  # overlap
 
 
 def test_failure_messages_name_vertices():
@@ -69,7 +68,6 @@ def test_out_of_range_vertices_rejected():
     checks = [lambda s: is_ktds(g, s, 1), lambda s: is_ktrds(g, s, 1),
               lambda s: failures(g, s, 1, False),
               lambda s: failures(g, s, 1, True),
-              lambda s: is_ktdp(g, [{1, 2, 3}, s], 1),
               lambda s: is_ktrdp(g, [{1, 2, 3}, s], 1)]
     for check in checks:
         with pytest.raises(ValueError,

@@ -12,7 +12,7 @@ from domlab.formulas import f_domatic_complete, f_multipartite_bounds
 from domlab.graphs import (Graph, build_graph, complement, complementary_prism,
                            complete, complete_bipartite, complete_multipartite,
                            cycle, path)
-from domlab.predicates import is_ktdp, is_ktds, is_ktrdp, is_ktrds
+from domlab.predicates import is_ktds, is_ktrdp, is_ktrds
 from domlab.smallgraphs import all_graphs
 from domlab import solver
 from domlab.solver import (BATCH_SETS, VARIANT_RESTRAINED, VARIANT_TOTAL,
@@ -698,31 +698,30 @@ def _set_partitions(n):
 
 
 def test_domatic_matches_partition_scan():
-    # independent oracle: the largest partition the set-form predicates
-    # accept (0 when even V fails, as domatic_exact reports infeasible)
+    # independent oracle: the largest partition the set-form predicate
+    # accepts (0 when even V fails, as domatic_exact reports infeasible)
     cases = 0
     for n in range(1, 7):
         partitions = list(_set_partitions(n))
         for g in all_graphs(n):
             for k in (1, 2):
-                # a kTDP is a kTRDP: a vertex outside a class lies in
-                # another, which holds k of its neighbours
-                assert all(is_ktdp(g, p, k) == is_ktrdp(g, p, k)
-                           for p in partitions), (g.edges(), k)
-                res = domatic_exact(g, k)
-                for pred in (is_ktdp, is_ktrdp):
-                    want = max((len(p) for p in partitions
-                                if pred(g, p, k)), default=0)
-                    assert res.value == want, (g.edges(), k, pred.__name__)
-                    cases += 1
-    assert cases == 832
+                # is_ktrdp tests each class as a kTDS, which is the kTRDS
+                # condition: checked here against the restrained set form
+                ok = [is_ktrdp(g, p, k) for p in partitions]
+                assert ok == [all(is_ktrds(g, c, k) for c in p)
+                              for p in partitions], (g.edges(), k)
+                want = max((len(p) for p, hit in zip(partitions, ok) if hit),
+                           default=0)
+                assert domatic_exact(g, k).value == want, (g.edges(), k)
+                cases += 1
+    assert cases == 416
 
 
 def test_domatic_certificate_is_valid_partition():
     g = complete(7)
     res = domatic_exact(g, 1)
     assert res.value == 3
-    assert is_ktrdp(g, res.certificate, 1) and is_ktdp(g, res.certificate, 1)
+    assert is_ktrdp(g, res.certificate, 1)
 
 
 def test_domatic_one_when_degree_low():
